@@ -140,6 +140,7 @@ def format_word(word) -> str:
 
 
 _WORD_ITERATE = "abaababa"
+_WORD_LOCK = threading.Lock()
 
 
 def fibonacci_word_prefix(n: int) -> str:
@@ -147,9 +148,16 @@ def fibonacci_word_prefix(n: int) -> str:
     if n < 0:
         raise InvalidWordError(f"prefix length must be nonnegative, got {n}")
     global _WORD_ITERATE
-    while len(_WORD_ITERATE) < n:
-        _WORD_ITERATE = "".join("ab" if c == "a" else "a" for c in _WORD_ITERATE)
-    return _WORD_ITERATE[:n]
+    word = _WORD_ITERATE
+    if len(word) < n:
+        # Grow a local copy and publish it under the lock, so the global
+        # only ever lengthens and the slice below reads the local.
+        with _WORD_LOCK:
+            word = _WORD_ITERATE
+            while len(word) < n:
+                word = "".join("ab" if c == "a" else "a" for c in word)
+            _WORD_ITERATE = word
+    return word[:n]
 
 
 def letter_counts(letters: str) -> tuple[int, int]:

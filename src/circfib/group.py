@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .errors import (
     InvalidWordError,
@@ -31,7 +32,7 @@ from .fibcore import (
     is_admissible,
     iter_admissible,
 )
-from .rewrite import normalize
+from .rewrite import decode_pair, normalize, phi_pair, residue_order
 
 DEFAULT_ENUM_BOUND = 10
 
@@ -72,19 +73,16 @@ def neg(u) -> Word:
 
 
 def scalar_mul(k: int, u) -> Word:
-    """k-fold sum of u by binary doubling; k may be negative or zero."""
+    """k-fold sum of u; k may be negative, zero or arbitrarily large.
+
+    Multiplies u's Z[phi] pair by k and decodes the result once, so the
+    cost is one normalization for any k.  Iterated ``add`` is the oracle
+    in the tests.
+    """
     w = canonical(u)
-    if k < 0:
-        return neg(scalar_mul(-k, w))
-    acc = identity(len(w) // 2)
-    base = w
-    while k:
-        if k & 1:
-            acc = add(acc, base)
-        k >>= 1
-        if k:
-            base = add(base, base)
-    return acc
+    k = index(k)
+    x, y = phi_pair(w)
+    return decode_pair(k * x, k * y, len(w))
 
 
 def enumerate_elements(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Word]:
@@ -121,16 +119,16 @@ class GroupStructure:
 
 
 def element_order(u) -> int:
-    """Least k >= 1 with k*u equal to the identity."""
+    """Least k >= 1 with k*u equal to the identity.
+
+    Computed from u's residue in Z[phi] modulo (phi^n - 1), with no
+    decoding; iterated ``add`` is the oracle in the tests.  Orders above
+    10^6 are refused.
+    """
     w = canonical(u)
-    ident = identity(len(w) // 2)
-    acc = w
-    k = 1
-    while acc != ident:
-        acc = add(acc, w)
-        k += 1
-        if k > 10**6:
-            raise StructureMismatchError(f"element order of {w} exceeds 10^6")
+    k = residue_order(*phi_pair(w), len(w))
+    if k > 10**6:
+        raise StructureMismatchError(f"element order of {w} exceeds 10^6")
     return k
 
 

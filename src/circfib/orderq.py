@@ -19,8 +19,8 @@ from math import lcm
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, format_word, is_admissible, rotate, valuation, zeckendorf
-from .group import add, canonical, enumerate_elements, identity, scalar_mul
-from .rewrite import normalize
+from .group import add, canonical, enumerate_elements, scalar_mul
+from .rewrite import is_zero_residue, normalize, phi_pair
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -87,13 +87,18 @@ def p_group(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> list[PeriodicElemen
 
 @lru_cache(maxsize=16)
 def _p_group_cached(q: int, max_ell: int) -> tuple[PeriodicElement, ...]:
+    """Elements w with q * phi_pair(w) zero modulo (phi^n - 1).
+
+    The order check runs on residues with no decoding; the test suite
+    compares it with a filter built from iterated word-level ``add``.
+    """
     n = minimal_even_length(q)
-    ident = identity(n // 2)
-    return tuple(
-        PeriodicElement(w, primitive_period(w))
-        for w in enumerate_elements(n // 2, max_ell)
-        if scalar_mul(q, w) == ident
-    )
+    kept = []
+    for w in enumerate_elements(n // 2, max_ell):
+        x, y = phi_pair(w)
+        if is_zero_residue(q * x, q * y, n):
+            kept.append(PeriodicElement(w, primitive_period(w)))
+    return tuple(kept)
 
 
 def oplus(u, v) -> Word:

@@ -16,11 +16,17 @@ orbit containing 1^n, where (01)^l and (10)^l are both reachable and are
 identified; (01)^l is the canonical representative.
 
 ``orbit`` explores equivalence classes by breadth-first search and is the
-reference oracle.  ``normalize`` is the production normalizer: it computes
-the exact class invariant of the word in Z[phi] modulo (phi^n - 1), then
-reconstructs the admissible representative by a small bounded search around
-the quotient.  The two routes are independent and are cross-checked
-exhaustively in the test suite.
+reference oracle.  ``normalize`` is the production normalizer: it maps the
+word to its pair in Z[phi] (``phi_pair``), then ``decode_pair`` reconstructs
+the admissible representative of that pair's residue modulo (phi^n - 1) by
+a small bounded search around the quotient.  The two routes are independent
+and are cross-checked exhaustively in the test suite.
+
+The residue is also the group element itself, so arithmetic that needs no
+intermediate word stays on pairs: ``group.scalar_mul`` decodes k times the
+pair once, and ``is_zero_residue`` and ``residue_order`` answer order
+questions with no decoding at all.  Word-level ``group.add`` (digit sum,
+then ``normalize``) is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import (
     InapplicableMoveError,
@@ -242,12 +249,28 @@ def phi_pair(word) -> tuple[int, int]:
     return x, y
 
 
+@lru_cache(maxsize=256)
 def _modulus_pair(n: int) -> tuple[int, int]:
     # phi^n - 1
     fa, fb = 1, 0
     for _ in range(n):
         fa, fb = fb, fa + fb
     return fa - 1, fb
+
+
+def _quotient(x: int, y: int, n: int) -> tuple[int, int, int]:
+    """(num1, num2, norm), norm > 0, with (x + y*phi) / (phi^n - 1) equal to
+    (num1 + num2*phi) / norm exactly."""
+    p, q = _modulus_pair(n)
+    norm = p * p + p * q - q * q
+    if norm == 0:
+        raise InvalidWordError(f"degenerate modulus at length {n}")
+    # (x + y*phi) * conj(nu), with conj(p + q*phi) = (p + q) - q*phi
+    num1 = x * (p + q) - y * q
+    num2 = y * p - x * q
+    if norm < 0:
+        return -num1, -num2, -norm
+    return num1, num2, norm
 
 
 def _iround(p: int, q: int) -> int:
@@ -259,7 +282,8 @@ def _iround(p: int, q: int) -> int:
 
 # Offsets (c1, c2) tried around the rounded quotient, nearest first.  The
 # admissible representative's quotient lies within about 4 of the input's
-# in both coordinates; 6 leaves margin.
+# in both coordinates; 6 leaves margin.  The window depends only on the
+# fractional part of the quotient, so it holds for pairs of any size.
 _SEARCH_WINDOW = 6
 _OFFSETS = sorted(
     ((c1, c2) for c1 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)
@@ -277,21 +301,60 @@ def class_key(word) -> tuple[int, int]:
     """
     w = as_word(word)
     n = len(w)
-    nu = _modulus_pair(n)
-    p, q = nu
-    norm = p * p + p * q - q * q
-    if norm == 0:
-        raise InvalidWordError(f"degenerate modulus at length {n}")
     x, y = phi_pair(w)
-    # (x + y*phi) * conj(nu), with conj(p + q*phi) = (p + q) - q*phi
-    num1 = x * (p + q) - y * q
-    num2 = y * p - x * q
-    if norm < 0:
-        norm, num1, num2 = -norm, -num1, -num2
-    q1, q2 = num1 // norm, num2 // norm
-    rem = (x, y)
-    sub = _pair_mul((q1, q2), nu)
-    return (rem[0] - sub[0], rem[1] - sub[1])
+    num1, num2, norm = _quotient(x, y, n)
+    sx, sy = _pair_mul((num1 // norm, num2 // norm), _modulus_pair(n))
+    return (x - sx, y - sy)
+
+
+def is_zero_residue(x: int, y: int, n: int) -> bool:
+    """True iff x + y*phi is divisible by phi^n - 1 in Z[phi].
+
+    At even length n this is the identity class of the group (the pair of
+    (01)^(n/2) is phi^n - 1 itself).
+    """
+    num1, num2, norm = _quotient(x, y, n)
+    return num1 % norm == 0 and num2 % norm == 0
+
+
+def residue_order(x: int, y: int, n: int) -> int:
+    """Least k >= 1 with k * (x + y*phi) divisible by phi^n - 1.
+
+    The quotient by phi^n - 1 is (num1 + num2*phi) / norm, so k must clear
+    the reduced denominator of both coordinates.
+    """
+    num1, num2, norm = _quotient(x, y, n)
+    return lcm(norm // gcd(num1, norm), norm // gcd(num2, norm))
+
+
+def decode_pair(x: int, y: int, n: int) -> Word:
+    """The admissible length-n word whose Z[phi] pair is congruent to
+    x + y*phi modulo phi^n - 1, with the identity canonicalized.
+
+    A zero residue decodes to the identity (01)^(n/2).  Works for pairs of
+    any size: the search runs around the rounded quotient, so only its
+    fractional part matters.
+    """
+    nu = _modulus_pair(n)
+    num1, num2, norm = _quotient(x, y, n)
+    q1, q2 = _iround(num1, norm), _iround(num2, norm)
+    max_value = fib(n) - 1
+    for c1, c2 in _OFFSETS:
+        sx, sy = _pair_mul((q1 + c1, q2 + c2), nu)
+        ax, ay = x - sx, y - sy
+        value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
+        if value < 1 or value > max_value:
+            continue
+        candidate = zeckendorf(value, n)
+        if phi_pair(candidate) != (ax, ay):
+            continue
+        if candidate[0] == 1 and candidate[-1] == 1:
+            continue  # linear Zeckendorf form, but not cyclically admissible
+        return _canonical_identity(candidate)
+    raise NormalizationError(
+        f"no admissible word of length {n} found for the pair ({x}, {y}); "
+        "the uniqueness assumption may be violated"
+    )
 
 
 def normalize(word) -> Word:
@@ -313,32 +376,7 @@ def normalize(word) -> Word:
 
 @lru_cache(maxsize=1 << 18)
 def _normalize_cached(w: Word) -> Word:
-    n = len(w)
-    nu = _modulus_pair(n)
-    p, q = nu
-    norm = p * p + p * q - q * q
-    x, y = phi_pair(w)
-    num1 = x * (p + q) - y * q
-    num2 = y * p - x * q
-    if norm < 0:
-        norm, num1, num2 = -norm, -num1, -num2
-    q1, q2 = _iround(num1, norm), _iround(num2, norm)
-    max_value = fib(n) - 1
-    for c1, c2 in _OFFSETS:
-        sx, sy = _pair_mul((q1 + c1, q2 + c2), nu)
-        ax, ay = x - sx, y - sy
-        value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
-        if value < 1 or value > max_value:
-            continue
-        candidate = zeckendorf(value, n)
-        if phi_pair(candidate) != (ax, ay):
-            continue
-        if candidate[0] == 1 and candidate[-1] == 1:
-            continue  # linear Zeckendorf form, but not cyclically admissible
-        return _canonical_identity(candidate)
-    raise NormalizationError(
-        f"no admissible equivalent of {w} found; the uniqueness assumption may be violated"
-    )
+    return decode_pair(*phi_pair(w), len(w))
 
 
 def _canonical_identity(w: Word) -> Word:

@@ -1,4 +1,7 @@
 import itertools
+import linecache
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +123,45 @@ def test_fibonacci_word():
     assert fibonacci_word_prefix(13) == "abaababaabaab"
     assert fibonacci_word_prefix(0) == ""
     assert fibonacci_word_prefix(8) == "abaababa"
+
+
+def test_fibonacci_word_prefix_threaded(monkeypatch):
+    # A thread that grew the shared iterate from a stale copy may rebind it
+    # to a shorter iterate at any moment.  Force that at the worst moment,
+    # just before the prefix is sliced, in several threads at once: every
+    # returned prefix must still have the requested length.
+    lengths = (13, 100, 1000, 5000)
+    reference = fibonacci_word_prefix(max(lengths))
+    seed = reference[:8]
+    monkeypatch.setattr(fibcore, "_WORD_ITERATE", seed)
+    code = fibonacci_word_prefix.__code__
+
+    def rebind_before_return(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        line = linecache.getline(code.co_filename, frame.f_lineno).strip()
+        if event == "line" and line.startswith("return"):
+            fibcore._WORD_ITERATE = seed
+        return rebind_before_return
+
+    results = []
+
+    def worker(n):
+        sys.settrace(rebind_before_return)
+        try:
+            results.append((n, fibonacci_word_prefix(n)))
+        finally:
+            sys.settrace(None)
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in lengths * 3]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(n for n, _ in results) == sorted(lengths * 3)
+    for n, prefix in results:
+        assert prefix == reference[:n], (n, len(prefix))
 
 
 def test_fibonacci_word_a_count_recurrence():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circfib.errors import (
     InvalidWordError,
@@ -8,7 +9,7 @@ from circfib.errors import (
     StructureMismatchError,
     ZeroWordError,
 )
-from circfib.fibcore import format_word, iter_admissible, parse_word
+from circfib.fibcore import fib, format_word, is_admissible, iter_admissible, parse_word, zeckendorf
 from circfib.group import (
     GroupStructure,
     add,
@@ -84,12 +85,42 @@ def test_scalar_mul_examples():
     assert scalar_mul(-3, u) == neg(scalar_mul(3, u))
 
 
+def _multiples_by_add(u, count):
+    # [0*u, 1*u, ..., count*u] by iterated word-level add, the oracle for
+    # the residue route of scalar_mul and element_order
+    out = [identity(len(u) // 2)]
+    for _ in range(count):
+        out.append(add(out[-1], u))
+    return out
+
+
 def test_scalar_mul_matches_iterated_add():
-    u = parse_word("000100")
-    acc = identity(3)
-    for k in range(1, 9):
-        acc = add(acc, u)
-        assert scalar_mul(k, u) == acc
+    for ell in (1, 2, 3):
+        e = predicted_invariant_factors(ell)[0]
+        for u in enumerate_elements(ell):
+            up = _multiples_by_add(u, 2 * e)
+            down = _multiples_by_add(neg(u), 2 * e)
+            for k in range(-2 * e, 2 * e + 1):
+                expected = up[k] if k >= 0 else down[-k]
+                assert scalar_mul(k, u) == expected, (u, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((24, 60, 1000)),
+    st.data(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+def test_scalar_mul_is_additive_in_large_k(n, data, k1, k2):
+    u = zeckendorf(data.draw(st.integers(min_value=1, max_value=fib(n) - 1)), n)
+    assume(is_admissible(u))
+    assert scalar_mul(k1 + k2, u) == add(scalar_mul(k1, u), scalar_mul(k2, u))
+
+
+def test_scalar_mul_rejects_non_integer_k():
+    with pytest.raises(TypeError):
+        scalar_mul(2.0, parse_word("0001"))
 
 
 def test_enumerate_cardinalities():
@@ -142,6 +173,15 @@ def test_element_order():
     assert element_order(identity(3)) == 1
     assert element_order(parse_word("0001")) == 5
     assert element_order(parse_word("001001")) == 2
+
+
+def test_element_order_matches_iterated_add():
+    for ell in range(1, 6):
+        e = predicted_invariant_factors(ell)[0]
+        for u in enumerate_elements(ell):
+            multiples = _multiples_by_add(u, e)
+            expected = next(k for k in range(1, e + 1) if multiples[k] == multiples[0])
+            assert element_order(u) == expected, u
 
 
 def test_element_orders_divide_exponent():

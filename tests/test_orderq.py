@@ -2,7 +2,7 @@ import pytest
 
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import format_word, is_admissible, parse_word, rotate, valuation
-from circfib.group import add, d_value, element_order, enumerate_elements, identity
+from circfib.group import add, d_value, enumerate_elements, identity
 from circfib.orderq import (
     minimal_even_length,
     oplus,
@@ -75,10 +75,19 @@ def test_p_group_sizes():
 
 
 def test_p_group_members():
-    members = {e.word for e in p_group(4)}
-    assert identity(3) in members
-    for e in p_group(4):
-        assert 4 % element_order(e.word) == 0
+    # the residue filter against a filter built from iterated word-level add
+    for q in (2, 3, 4):
+        n = minimal_even_length(q)
+        ident = identity(n // 2)
+        expected = []
+        for w in enumerate_elements(n // 2):
+            acc = w
+            for _ in range(q - 1):
+                acc = add(acc, w)
+            if acc == ident:
+                expected.append(w)
+        assert [e.word for e in p_group(q)] == expected, q
+        assert ident in expected
 
 
 def test_p_group_resource_bound():

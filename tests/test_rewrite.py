@@ -3,7 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circfib.errors import InapplicableMoveError, InvalidWordError, ZeroWordError
+from circfib import rewrite
+from circfib.errors import (
+    InapplicableMoveError,
+    InvalidWordError,
+    NormalizationError,
+    ZeroWordError,
+)
 from circfib.fibcore import alternating_word, format_word, parse_word, valuation
 from circfib.rewrite import (
     Move,
@@ -170,6 +176,12 @@ def test_class_key_is_move_invariant():
     key = class_key(w)
     for move in applicable_moves(w):
         assert class_key(apply_move(w, move)) == key
+
+
+def test_decode_error_names_pair_and_length(monkeypatch):
+    monkeypatch.setattr(rewrite, "_OFFSETS", [])
+    with pytest.raises(NormalizationError, match=r"length 6 .*\(7, -3\)"):
+        rewrite.decode_pair(7, -3, 6)
 
 
 def test_equivalent():
