@@ -8,7 +8,9 @@ normalization; the zero word is excluded by construction and rejected.
 The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
 for odd l.  ``decompose`` certifies this empirically from the elements
-rather than assuming it.
+rather than assuming it.  ``certify_factors`` is the one two-generator
+certificate: ``decompose`` and the order-q criterion of ``verify`` both
+call it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .fibcore import (
     is_admissible,
     iter_admissible,
 )
-from .rewrite import decode_pair, normalize, phi_pair, residue_order
+from .rewrite import _canonical_identity, decode_pair, normalize, phi_pair, residue_order
 
 DEFAULT_ENUM_BOUND = 10
 
@@ -53,9 +55,7 @@ def canonical(word) -> Word:
         raise ZeroWordError("the zero word is not a group element")
     if not is_admissible(w):
         raise InvalidWordError(f"not an admissible circular word: {w}")
-    if w == alternating_word(len(w), first=1):
-        return alternating_word(len(w), first=0)
-    return w
+    return _canonical_identity(w)
 
 
 def add(u, v) -> Word:
@@ -121,15 +121,12 @@ class GroupStructure:
 def element_order(u) -> int:
     """Least k >= 1 with k*u equal to the identity.
 
-    Computed from u's residue in Z[phi] modulo (phi^n - 1), with no
-    decoding; iterated ``add`` is the oracle in the tests.  Orders above
-    10^6 are refused.
+    Computed exactly from u's residue in Z[phi] modulo (phi^n - 1), with
+    no decoding and no bound on the order; iterated ``add`` is the oracle
+    in the tests.
     """
     w = canonical(u)
-    k = residue_order(*phi_pair(w), len(w))
-    if k > 10**6:
-        raise StructureMismatchError(f"element order of {w} exceeds 10^6")
-    return k
+    return residue_order(*phi_pair(w), len(w))
 
 
 def _cyclic_subgroup(w: Word) -> set[Word]:
@@ -142,37 +139,46 @@ def _cyclic_subgroup(w: Word) -> set[Word]:
     return out
 
 
-def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
-    """Empirical invariant factors, certified by exhibiting two generators.
+def certify_factors(elements: list[Word]) -> tuple[int, int]:
+    """Invariant factors (e1, e2) of the group formed by the given elements,
+    certified by exhibiting two generators.
 
     Finds g1 of maximal order e1 (the exponent) and, unless the group is
-    cyclic, g2 with a cyclic subgroup of size order/e1 meeting <g1> only in
-    the identity.  Order d^2 with exponent d does not by itself force
-    Z/d x Z/d, so the two-generator certificate is required; failure raises
-    StructureMismatchError, as does disagreement with the predicted
-    decomposition.
+    cyclic, g2 of order e2 = order/e1 whose cyclic subgroup meets <g1> only
+    in the identity.  Order d^2 with exponent d does not by itself force
+    Z/d x Z/d, so the second generator is required; failure raises
+    StructureMismatchError.
     """
-    elements = enumerate_elements(ell, max_ell)
     order = len(elements)
     orders = {u: element_order(u) for u in elements}
     e1 = max(orders.values())
     if order % e1 != 0:
         raise StructureMismatchError(f"exponent {e1} does not divide order {order}")
     e2 = order // e1
-    g1 = next(u for u, k in orders.items() if k == e1)
     if e2 > 1:
+        g1 = next(u for u, k in orders.items() if k == e1)
         sub1 = _cyclic_subgroup(g1)
-        for g2 in elements:
-            if orders[g2] != e2:
-                continue
-            sub2 = _cyclic_subgroup(g2)
-            if sub1 & sub2 == {identity(ell)}:
-                break
-        else:
+        # both subgroups hold the identity, so meeting only there is size 1
+        if not any(
+            k == e2 and len(sub1 & _cyclic_subgroup(g2)) == 1
+            for g2, k in orders.items()
+        ):
             raise StructureMismatchError(
-                f"no second generator certifies rank 2 at ell={ell}"
+                f"no second generator of order {e2} certifies rank 2 "
+                f"for {order} elements of length {len(g1)}"
             )
-    result = GroupStructure(order, (e1, e2), d_value(ell))
+    return e1, e2
+
+
+def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
+    """Empirical invariant factors of the group of parameter l.
+
+    ``certify_factors`` certifies them from the enumerated elements by two
+    generators; its failure raises StructureMismatchError, as does
+    disagreement with the predicted decomposition.
+    """
+    elements = enumerate_elements(ell, max_ell)
+    result = GroupStructure(len(elements), certify_factors(elements), d_value(ell))
     expected = predicted_invariant_factors(ell)
     if result.invariant_factors != expected:
         raise StructureMismatchError(

@@ -20,7 +20,7 @@ from math import lcm
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, format_word, is_admissible, rotate, valuation, zeckendorf
 from .group import add, canonical, enumerate_elements, scalar_mul
-from .rewrite import is_zero_residue, normalize, phi_pair
+from .rewrite import is_zero_residue, phi_pair
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -102,12 +102,10 @@ def _p_group_cached(q: int, max_ell: int) -> tuple[PeriodicElement, ...]:
 
 
 def oplus(u, v) -> Word:
-    """Mixed-length addition: repeat both words to lcm length, add, normalize."""
+    """Mixed-length addition: repeat both words to lcm length, then add."""
     wu, wv = canonical(u), canonical(v)
     m = lcm(len(wu), len(wv))
-    ru = wu * (m // len(wu))
-    rv = wv * (m // len(wv))
-    return normalize(tuple(a + b for a, b in zip(ru, rv)))
+    return add(wu * (m // len(wu)), wv * (m // len(wv)))
 
 
 def pi_subgroup_index(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> int:
@@ -152,12 +150,12 @@ class PiMultiplesReport:
         return self.multiples_match and self.rotation_match and self.only_pi_pair_satisfies
 
 
-def _word_multiples_match(w: Word, q: int) -> bool:
-    # Every group multiple up to q must equal the Zeckendorf word of the
-    # corresponding integer multiple of the valuation, positionally up to
-    # the identity identification: at i = q the multiple of P' lands on the
-    # identity class while the Zeckendorf word is its other representative
-    # (10)^l, so both sides are compared in canonical form.
+def multiples_match(w: Word, q: int) -> bool:
+    """True iff i*w is the Zeckendorf word of i*valuation(w) for i in 1..q.
+
+    At i = q the multiple of P' is the identity (01)^l while the Zeckendorf
+    word is (10)^l, so both sides are compared in canonical form.
+    """
     n = len(w)
     value = valuation(w)
     acc = w
@@ -189,7 +187,7 @@ def verify_pi_multiples(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> PiMulti
 
     multiples_ok = True
     for name, w in (("P", pi), ("P'", pi_prime)):
-        ok = _word_multiples_match(w, q)
+        ok = multiples_match(w, q)
         multiples_ok = multiples_ok and ok
         details.append(f"{name} multiples {'match' if ok else 'MISMATCH'}")
 
@@ -197,7 +195,7 @@ def verify_pi_multiples(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> PiMulti
     details.append(f"rotate(P') {'==' if rotation_ok else '!='} P")
 
     satisfiers = tuple(
-        e.word for e in p_group(q, max_ell) if _word_multiples_match(e.word, q)
+        e.word for e in p_group(q, max_ell) if multiples_match(e.word, q)
     )
     details.append("satisfiers: " + " ".join(format_word(w) for w in satisfiers))
 

@@ -10,9 +10,13 @@ Two families of moves act on a circular word w of length n (indices mod n):
 Backward moves are the exact inverses.  Moves are value shifts guarded by
 nonnegativity, so they apply on the full alphabet of nonnegative ints, not
 just on the binary patterns 110 <-> 001 and 0020 <-> 1001 that they induce
-there.  Every nonzero circular word of even length is equivalent, under
-these moves, to an admissible word that is unique except for the single
-orbit containing 1^n, where (01)^l and (10)^l are both reachable and are
+there.  The moves of a length come from one list (``_moves``) with their
+consumed and produced amounts, applied by one routine (``_apply``) that
+``apply_move``, ``applicable_moves`` and the orbit BFS share.
+
+Every nonzero circular word of even length is equivalent, under these
+moves, to an admissible word that is unique except for the single orbit
+containing 1^n, where (01)^l and (10)^l are both reachable and are
 identified; (01)^l is the canonical representative.
 
 ``orbit`` explores equivalence classes by breadth-first search and is the
@@ -65,7 +69,7 @@ class Move:
             raise InvalidWordError(f"rule must be 'A' or 'B', got {self.rule!r}")
 
 
-def _consume_produce(move: Move, n: int) -> tuple[dict[int, int], dict[int, int]]:
+def _consume_produce(move: Move, n: int) -> tuple[tuple, tuple]:
     # A move consumes units from some slots and produces units at others;
     # all consumed amounts must be in stock simultaneously.  At lengths
     # where window positions collide mod n the amounts accumulate, which
@@ -85,22 +89,40 @@ def _consume_produce(move: Move, n: int) -> tuple[dict[int, int], dict[int, int]
         consume[i] = consume.get(i, 0) + v
     for i, v in makes:
         produce[i] = produce.get(i, 0) + v
-    return consume, produce
+    return tuple(consume.items()), tuple(produce.items())
+
+
+def _moves(n: int) -> list[tuple[Move, tuple, tuple]]:
+    """(move, consumed, produced) for every move at length n, in
+    (position, rule, direction) order."""
+    return [
+        (move, *_consume_produce(move, n))
+        for k in range(n)
+        for rule in ("A", "B")
+        for move in (Move(rule, k, True), Move(rule, k, False))
+    ]
+
+
+def _apply(w: Word, consume, produce) -> Word | None:
+    """The word after the move, or None when a consumed amount is missing."""
+    for i, v in consume:
+        if w[i] < v:
+            return None
+    out = list(w)
+    for i, v in consume:
+        out[i] -= v
+    for i, v in produce:
+        out[i] += v
+    return tuple(out)
 
 
 def apply_move(word, move: Move) -> Word:
     """Apply one move; raises InapplicableMoveError if its guards fail."""
     w = as_word(word)
-    n = len(w)
-    consume, produce = _consume_produce(move, n)
-    if any(w[i] < v for i, v in consume.items()):
+    out = _apply(w, *_consume_produce(move, len(w)))
+    if out is None:
         raise InapplicableMoveError(f"move {move} does not apply to {w}")
-    out = list(w)
-    for i, v in consume.items():
-        out[i] -= v
-    for i, v in produce.items():
-        out[i] += v
-    return tuple(out)
+    return out
 
 
 def move_window(move: Move, n: int) -> tuple[int, ...]:
@@ -120,33 +142,10 @@ def crosses_seam(move: Move, n: int) -> bool:
 def applicable_moves(word):
     """All moves (both rules, both directions) that apply to the word."""
     w = as_word(word)
-    n = len(w)
-    out = []
-    for k in range(n):
-        for rule in ("A", "B"):
-            for forward in (True, False):
-                move = Move(rule, k, forward)
-                consume, _ = _consume_produce(move, n)
-                if all(w[i] >= v for i, v in consume.items()):
-                    out.append(move)
-    return out
-
-
-def _neighbors(w: Word, digit_cap: int):
-    n = len(w)
-    for k in range(n):
-        for rule in ("A", "B"):
-            for forward in (True, False):
-                consume, produce = _consume_produce(Move(rule, k, forward), n)
-                if any(w[i] < v for i, v in consume.items()):
-                    continue
-                out = list(w)
-                for i, v in consume.items():
-                    out[i] -= v
-                for i, v in produce.items():
-                    out[i] += v
-                if max(out) <= digit_cap:
-                    yield tuple(out)
+    return [
+        move for move, consume, produce in _moves(len(w))
+        if _apply(w, consume, produce) is not None
+    ]
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,16 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
         digit_cap = default_digit_cap(w)
     if digit_cap < max(2, max(w)):
         raise InvalidWordError(f"digit cap {digit_cap} below max digit of {w}")
+    moves = [(consume, produce) for _, consume, produce in _moves(len(w))]
     seen = {w}
     queue = deque([w])
     truncated = False
     while queue:
         cur = queue.popleft()
-        for nxt in _neighbors(cur, digit_cap):
+        for consume, produce in moves:
+            nxt = _apply(cur, consume, produce)
+            if nxt is None or max(nxt) > digit_cap:
+                continue
             if nxt not in seen:
                 if len(seen) >= size_cap:
                     truncated = True

@@ -16,17 +16,15 @@ from math import lcm
 from typing import Callable
 
 from . import baseb, group, orderq, typology, wheels
-from .errors import CircfibError
+from .errors import CircfibError, StructureMismatchError
 from .fibcore import (
     alternating_word,
     check_balanced,
-    fib,
     fibonacci_word_prefix,
-    format_word,
     is_admissible,
     iter_words_binary,
+    rotate,
     valuation,
-    zeckendorf,
 )
 from .rewrite import normalize, orbit
 
@@ -207,18 +205,8 @@ def criterion_order_q(max_q: int = 10) -> list[Claim]:
             )
         )
         pi, pi_prime = orderq.pi_words(q)
-        from .fibcore import rotate
-
         claims.append(_claim("5", f"rotation q={q}", rotate(pi_prime) == pi))
-        chain_ok = True
-        for w in (pi, pi_prime):
-            value = valuation(w)
-            acc = None
-            for i in range(1, q + 1):
-                acc = w if acc is None else group.add(acc, w)
-                target = group.canonical(zeckendorf(i * value, n))
-                if acc != target:
-                    chain_ok = False
+        chain_ok = orderq.multiples_match(pi, q) and orderq.multiples_match(pi_prime, q)
         ident_ok = group.scalar_mul(q, pi) == group.identity(n // 2)
         claims.append(_claim("5", f"multiples q={q}", chain_ok and ident_ok))
     return claims
@@ -229,38 +217,18 @@ def criterion_p_group(max_q: int = 6, max_ell: int = 12) -> list[Claim]:
     claims = []
     for q in range(2, min(6, max_q) + 1):
         elements = [e.word for e in orderq.p_group(q, max_ell)]
-        n = orderq.minimal_even_length(q)
-        ident = group.identity(n // 2)
-        size_ok = len(elements) == q * q
-        orders = {u: group.element_order(u) for u in elements}
-        exponent = max(orders.values())
-        exponent_ok = exponent == q
-        cert_ok = True
-        if q > 1:
-            g1 = next(u for u, k in orders.items() if k == exponent)
-            sub1 = set()
-            acc = ident
-            for _ in range(exponent):
-                acc = group.add(acc, g1)
-                sub1.add(acc)
-            cert_ok = False
-            for g2 in elements:
-                if orders[g2] != q:
-                    continue
-                sub2 = set()
-                acc = ident
-                for _ in range(q):
-                    acc = group.add(acc, g2)
-                    sub2.add(acc)
-                if sub1 & sub2 == {ident}:
-                    cert_ok = True
-                    break
+        try:
+            exponent, _ = group.certify_factors(elements)
+            certificate = f"exponent {exponent}, certified=True"
+            ok = len(elements) == q * q and exponent == q
+        except StructureMismatchError as exc:
+            certificate, ok = f"certified=False: {exc}", False
         claims.append(
             _claim(
                 "6",
                 f"order-q group q={q}",
-                size_ok and exponent_ok and cert_ok,
-                f"size {len(elements)} (want {q * q}), exponent {exponent}, certified={cert_ok}",
+                ok,
+                f"size {len(elements)} (want {q * q}), {certificate}",
             )
         )
         index = orderq.pi_subgroup_index(q, max_ell)

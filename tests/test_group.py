@@ -14,6 +14,7 @@ from circfib.group import (
     GroupStructure,
     add,
     canonical,
+    certify_factors,
     d_value,
     decompose,
     element_order,
@@ -173,6 +174,25 @@ def test_element_order():
     assert element_order(identity(3)) == 1
     assert element_order(parse_word("0001")) == 5
     assert element_order(parse_word("001001")) == 2
+
+
+def test_element_order_beyond_a_million():
+    w = scalar_mul(1, zeckendorf(12345678901, 60))
+    order = element_order(w)
+    assert order == 4160200
+    ident = identity(30)
+    assert scalar_mul(order, w) == ident
+    for p in (2, 5, 11, 31, 61):
+        assert scalar_mul(order // p, w) != ident, p
+
+
+def test_certify_factors_needs_a_second_generator():
+    # Eight elements of order 4 from Z/4 x Z/4: exponent 4, so e2 = 2, but
+    # no element of order 2 is present to serve as the second generator.
+    order_four = [u for u in enumerate_elements(3) if element_order(u) == 4]
+    assert len(order_four) == 12
+    with pytest.raises(StructureMismatchError):
+        certify_factors(order_four[:8])
 
 
 def test_element_order_matches_iterated_add():

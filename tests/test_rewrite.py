@@ -89,6 +89,31 @@ def test_orbit_truncation_flagged():
     assert len(result.words) >= 10
 
 
+def test_orbit_truncation_keeps_bfs_order():
+    # The members kept by a truncated search depend on the order in which
+    # moves are tried: (position, rule, direction).
+    result = orbit((1, 1, 1, 1), 2, 5)
+    assert result.words == {
+        (0, 0, 2, 1), (0, 2, 1, 0), (1, 1, 1, 1), (2, 0, 1, 2), (2, 2, 0, 1),
+    }
+    assert orbit(parse_word("020111"), 3, 10).words == {
+        (0, 0, 1, 1, 1, 2), (0, 1, 0, 3, 0, 1), (0, 2, 0, 0, 0, 2),
+        (0, 2, 0, 1, 1, 1), (0, 2, 0, 2, 2, 0), (0, 2, 1, 2, 0, 1),
+        (0, 3, 1, 0, 1, 1), (1, 1, 0, 1, 1, 2), (1, 2, 0, 1, 0, 0),
+        (2, 1, 0, 1, 0, 1),
+    }
+
+
+def test_applicable_moves_order():
+    moves = applicable_moves(parse_word("1111"))
+    assert [(m.rule, m.position, m.forward) for m in moves] == [
+        ("A", 0, True), ("A", 0, False), ("B", 0, False),
+        ("A", 1, True), ("A", 1, False), ("B", 1, False),
+        ("A", 2, True), ("A", 2, False), ("B", 2, False),
+        ("A", 3, True), ("A", 3, False), ("B", 3, False),
+    ]
+
+
 def test_orbit_digit_cap_validation():
     with pytest.raises(InvalidWordError):
         orbit(parse_word("0003"), 2)
