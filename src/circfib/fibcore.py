@@ -20,6 +20,7 @@ All arithmetic is exact (Python ints).
 from __future__ import annotations
 
 import threading
+from operator import add
 
 from .errors import CapacityError, InvalidWordError
 
@@ -50,10 +51,10 @@ def classical_fib(n: int) -> int:
 
 def as_word(digits) -> Word:
     """Coerce a digit sequence to a validated word tuple."""
-    w = tuple(int(d) for d in digits)
+    w = tuple(map(int, digits))
     if not w:
         raise InvalidWordError("word must have length >= 1")
-    if any(d < 0 for d in w):
+    if min(w) < 0:
         raise InvalidWordError(f"word digits must be nonnegative: {w}")
     return w
 
@@ -89,10 +90,10 @@ def zeckendorf(n: int, length: int) -> Word:
 def is_admissible(word) -> bool:
     """True iff all digits are 0/1 and no two cyclically adjacent ones."""
     w = as_word(word)
-    if any(d > 1 for d in w):
+    if max(w) > 1:
         return False
-    n = len(w)
-    return not any(w[i - 1] == 1 and w[i] == 1 for i in range(n))
+    # on 0/1 digits a cyclically adjacent pair of ones is the only sum of 2
+    return 2 not in map(add, w, w[-1:] + w[:-1])
 
 
 def is_linear_admissible(word) -> bool:

@@ -105,10 +105,15 @@ def d_value(ell: int) -> int:
     return fib(ell - 1) + fib(ell - 3)
 
 
-def predicted_invariant_factors(ell: int) -> tuple[int, int]:
-    """(e1, e2) with e2 | e1: (d, d) for odd l, (5d, d) for even l."""
-    d = d_value(ell)
+def factor_shape(ell: int, d: int) -> tuple[int, int]:
+    """(e1, e2) with e2 | e1 for parameter l and invariant d: (d, d) for
+    odd l, (5d, d) for even l."""
     return (5 * d, d) if ell % 2 == 0 else (d, d)
+
+
+def predicted_invariant_factors(ell: int) -> tuple[int, int]:
+    """The invariant factors that the d-formula predicts for parameter l."""
+    return factor_shape(ell, d_value(ell))
 
 
 @dataclass(frozen=True)

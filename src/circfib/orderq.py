@@ -5,6 +5,14 @@ identified with their repetitions.  Elements are materialized at the single
 canonical length n = minimal_even_length(q), with the primitive period
 stored alongside to realize the repetition identification.
 
+The elements are built from the lattice rather than found by search: the
+group at length n is Z[phi] modulo the lattice spanned by nu = phi^n - 1
+and nu*phi, and q divides nu at the canonical length, so its elements of
+order dividing q are the residues of (a*nu + b*nu*phi) / q for
+0 <= a, b < q.  Each is decoded to its admissible word once.  Enumerating
+every element and keeping those of order dividing q is the oracle in the
+tests.
+
 Two distinguished elements exist at that length: the words P and P' with
 valuations (F(n) - 1) / q and (F(n-1) - 1) / q.  Their group multiples up
 to q coincide positionally with the Zeckendorf words of the integer
@@ -19,8 +27,8 @@ from math import lcm
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, format_word, is_admissible, rotate, valuation, zeckendorf
-from .group import add, canonical, enumerate_elements, scalar_mul
-from .rewrite import is_zero_residue, phi_pair
+from .group import add, canonical, scalar_mul
+from .rewrite import _modulus_pair, _pair_mul, decode_pair
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -76,29 +84,39 @@ def primitive_period(u) -> Word:
 
 
 def p_group(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> list[PeriodicElement]:
-    """All elements of the canonical-length group whose order divides q."""
+    """All elements of the canonical-length group whose order divides q.
+
+    Built from the lattice (see ``_p_group_cached``); ``max_ell`` bounds
+    the canonical length at 2*max_ell, as for enumeration.
+    """
     n = minimal_even_length(q)
     if n > 2 * max_ell:
         raise ResourceBoundError(
             f"canonical length {n} for q={q} exceeds enumeration bound 2*{max_ell}"
         )
-    return list(_p_group_cached(q, max_ell))
+    return list(_p_group_cached(q))
 
 
 @lru_cache(maxsize=16)
-def _p_group_cached(q: int, max_ell: int) -> tuple[PeriodicElement, ...]:
-    """Elements w with q * phi_pair(w) zero modulo (phi^n - 1).
+def _p_group_cached(q: int) -> tuple[PeriodicElement, ...]:
+    """Elements of order dividing q, in lexicographic word order.
 
-    The order check runs on residues with no decoding; the test suite
-    compares it with a filter built from iterated word-level ``add``.
+    Decodes the residues (a*nu + b*nu*phi) / q for 0 <= a, b < q.  They are
+    integral because F(n) and F(n-1) are 1 mod q at the canonical length,
+    so q divides both coordinates of nu = phi^n - 1; two of them differ by
+    a lattice vector only if their (a, b) agree modulo q, so these are
+    exactly the q-torsion elements, each once.  The test suite compares the
+    result with the full enumeration filtered by order and with a filter
+    built from iterated word-level ``add``.
     """
     n = minimal_even_length(q)
-    kept = []
-    for w in enumerate_elements(n // 2, max_ell):
-        x, y = phi_pair(w)
-        if is_zero_residue(q * x, q * y, n):
-            kept.append(PeriodicElement(w, primitive_period(w)))
-    return tuple(kept)
+    nu_x, nu_y = _modulus_pair(n)
+    assert nu_x % q == 0 and nu_y % q == 0
+    step = (nu_x // q, nu_y // q)
+    words = sorted(
+        decode_pair(*_pair_mul((a, b), step), n) for a in range(q) for b in range(q)
+    )
+    return tuple(PeriodicElement(w, primitive_period(w)) for w in words)
 
 
 def oplus(u, v) -> Word:

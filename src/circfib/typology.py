@@ -26,15 +26,12 @@ from dataclasses import dataclass
 
 from .errors import InvalidWordError, PartitionError
 from .fibcore import (
-    Word,
     alternating_word,
-    classical_fib,
     fib,
     fibonacci_word_prefix,
     letter_counts,
     rotate,
     valuation,
-    zeckendorf,
 )
 from .group import (
     DEFAULT_ENUM_BOUND,

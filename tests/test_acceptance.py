@@ -129,3 +129,24 @@ def test_negative_control_corrupted_d_formula():
     assert not report.ok
     assert report.exit_code() == 1
     assert any("structure ell=5" == c.subject for c in report.failures)
+
+
+def test_non_associative_law_is_caught(monkeypatch):
+    # a commutative law with the right identity that differs from add on
+    # one pair of elements: only associativity can catch it
+    from circfib import group
+
+    add = group.add
+    a, b = group.enumerate_elements(2)[:2]
+    assert group.identity(2) not in (a, b)
+
+    def corrupted(u, v):
+        if {u, v} == {a, b}:
+            return add(add(u, v), a)
+        return add(u, v)
+
+    monkeypatch.setattr(verify.group, "add", corrupted)
+    claims = verify.criterion_group_axioms(max_ell=2)
+    bad = next(c for c in claims if c.subject == "group axioms ell=2")
+    assert bad.status == verify.FAIL
+    assert bad.detail == "assoc=False comm=True identity=True closed=True"

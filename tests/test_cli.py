@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +178,11 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert os.listdir(str(tmp_path))
     code, again, _ = run_cli(capsys, "wheel", "--ell", "2", "--map")
     assert out == again
+
+
+def test_verify_default_golden_output(capsys):
+    # stdout of `circfib verify` at its default bounds, byte for byte
+    golden = Path(__file__).parent / "data" / "verify_default.tsv"
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out == golden.read_text()

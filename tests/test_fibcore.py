@@ -4,11 +4,12 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from circfib import fibcore
 from circfib.errors import CapacityError, InvalidWordError
 from circfib.fibcore import (
+    as_word,
     check_balanced,
     classical_fib,
     fib,
@@ -102,6 +103,50 @@ def test_is_admissible():
     assert not is_admissible(parse_word("1001"))  # wrap pair
     assert is_admissible(parse_word("0101"))
     assert not is_admissible(parse_word("0201"))
+
+
+def _generator_as_word(digits):
+    # the generator-based validation that as_word replaced, as the oracle
+    w = tuple(int(d) for d in digits)
+    if not w:
+        raise InvalidWordError("word must have length >= 1")
+    if any(d < 0 for d in w):
+        raise InvalidWordError(f"word digits must be nonnegative: {w}")
+    return w
+
+
+def _generator_is_admissible(word):
+    w = _generator_as_word(word)
+    if any(d > 1 for d in w):
+        return False
+    n = len(w)
+    return not any(w[i - 1] == 1 and w[i] == 1 for i in range(n))
+
+
+def _outcome(fn, arg):
+    try:
+        return "ok", fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=-2, max_value=3), max_size=10),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=10),
+        st.lists(st.integers(), min_size=1, max_size=3),
+    )
+)
+@example([])
+@example([1])
+@example([0])
+@example([-1])
+@example([1, 1])
+@example([0, -1, 0])
+def test_word_checks_match_generator_versions(digits):
+    w = tuple(digits)
+    assert _outcome(as_word, w) == _outcome(_generator_as_word, w)
+    assert _outcome(is_admissible, w) == _outcome(_generator_is_admissible, w)
 
 
 def test_rotate():

@@ -3,6 +3,7 @@ import pytest
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import format_word, is_admissible, parse_word, rotate, valuation
 from circfib.group import add, d_value, enumerate_elements, identity
+from circfib.rewrite import is_zero_residue, phi_pair
 from circfib.orderq import (
     minimal_even_length,
     oplus,
@@ -75,8 +76,9 @@ def test_p_group_sizes():
 
 
 def test_p_group_members():
-    # the residue filter against a filter built from iterated word-level add
-    for q in (2, 3, 4):
+    # the lattice construction against a filter built from iterated
+    # word-level add
+    for q in (2, 3, 4, 5, 7):
         n = minimal_even_length(q)
         ident = identity(n // 2)
         expected = []
@@ -88,6 +90,21 @@ def test_p_group_members():
                 expected.append(w)
         assert [e.word for e in p_group(q)] == expected, q
         assert ident in expected
+
+
+def test_p_group_matches_enumeration_oracle():
+    # every element at the canonical length, kept when q times its Z[phi]
+    # pair is zero modulo phi^n - 1
+    for q in range(2, 8):
+        n = minimal_even_length(q)
+        expected = []
+        for w in enumerate_elements(n // 2, max_ell=12):
+            x, y = phi_pair(w)
+            if is_zero_residue(q * x, q * y, n):
+                expected.append(w)
+        got = p_group(q)
+        assert [e.word for e in got] == expected, q
+        assert [e.primitive for e in got] == [primitive_period(w) for w in expected], q
 
 
 def test_p_group_resource_bound():
