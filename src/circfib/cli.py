@@ -19,7 +19,7 @@ import sys
 from . import baseb, cache, group, orderq, typology, verify, wheels
 from .errors import CircfibError, ResourceBoundError
 from .fibcore import format_word, parse_word
-from .rewrite import default_digit_cap, normalize, orbit
+from .rewrite import normalize, orbit
 
 Record = dict[str, str]
 
@@ -144,8 +144,7 @@ def dispatch(args) -> tuple[list[Record], int]:
 
     if args.command == "orbit":
         w = parse_word(args.word)
-        digit_cap = args.digit_cap if args.digit_cap is not None else default_digit_cap(w)
-        result = orbit(w, digit_cap, args.cap)
+        result = orbit(w, args.digit_cap, args.cap)
         if result.truncated:
             print(f"warning: orbit truncated at {args.cap} states", file=sys.stderr)
         return [{"member": format_word(m)} for m in sorted(result.words)], 0

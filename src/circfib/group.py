@@ -67,9 +67,12 @@ def add(u, v) -> Word:
 
 
 def neg(u) -> Word:
-    """Inverse: complement every digit, then normalize."""
-    w = canonical(u)
-    return normalize(tuple(1 - d for d in w))
+    """Inverse: ``scalar_mul(-1, u)``.
+
+    It equals the normal form of the complement 1^n - u, because 1^n lies
+    in the identity class; the tests keep that route as the oracle.
+    """
+    return scalar_mul(-1, u)
 
 
 def scalar_mul(k: int, u) -> Word:

@@ -20,17 +20,20 @@ containing 1^n, where (01)^l and (10)^l are both reachable and are
 identified; (01)^l is the canonical representative.
 
 ``orbit`` explores equivalence classes by breadth-first search and is the
-reference oracle.  ``normalize`` is the production normalizer: it maps the
-word to its pair in Z[phi] (``phi_pair``), then ``decode_pair`` reconstructs
-the admissible representative of that pair's residue modulo (phi^n - 1) by
-a small bounded search around the quotient.  The two routes are independent
-and are cross-checked exhaustively in the test suite.
+reference oracle.  ``normalize`` is the production normalizer and has one
+route: validate the word, map it to its pair in Z[phi] (``phi_pair``), and
+let ``decode_pair`` reconstruct the admissible representative of that
+pair's residue modulo (phi^n - 1) by a search over the 25 lattice offsets
+that a written bound allows around the quotient.  The two routes are
+independent; ``verify.uniqueness_scan`` checks them against each other
+over every {0,1,2}-word at lengths 4, 6 and 8.
 
 The residue is also the group element itself, so arithmetic that needs no
-intermediate word stays on pairs: ``group.scalar_mul`` decodes k times the
-pair once, and ``is_zero_residue`` and ``residue_order`` answer order
-questions with no decoding at all.  Word-level ``group.add`` (digit sum,
-then ``normalize``) is their oracle in the tests.
+intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
+which is its k = -1) decodes k times the pair once, and ``is_zero_residue``
+and ``residue_order`` answer order questions with no decoding at all.
+Word-level ``group.add`` (digit sum, then ``normalize``) is their oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .errors import (
 )
 from .fibcore import (
     Word,
-    alternating_word,
     as_word,
     fib,
     is_admissible,
@@ -125,20 +127,6 @@ def apply_move(word, move: Move) -> Word:
     return out
 
 
-def move_window(move: Move, n: int) -> tuple[int, ...]:
-    """Positions touched by the move, in rule order."""
-    k = move.position % n
-    if move.rule == "A":
-        return ((k - 1) % n, k, (k + 1) % n)
-    return ((k - 2) % n, k, (k + 1) % n)
-
-
-def crosses_seam(move: Move, n: int) -> bool:
-    """True iff the move's index window wraps past position n-1."""
-    window = move_window(move, n)
-    return any(window[j] > window[j + 1] for j in range(len(window) - 1))
-
-
 def applicable_moves(word):
     """All moves (both rules, both directions) that apply to the word."""
     w = as_word(word)
@@ -160,22 +148,19 @@ class OrbitResult:
         return {w for w in self.words if is_admissible(w)}
 
 
-def default_digit_cap(word) -> int:
-    w = as_word(word)
-    return max(2, max(w)) + 1
-
-
 def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitResult:
     """Breadth-first closure of the word under all moves, both directions.
 
-    States with any digit above ``digit_cap`` are pruned.  If more than
+    States with any digit above ``digit_cap`` are pruned; by default it is
+    one above the larger of 2 and the word's largest digit.  If more than
     ``size_cap`` states are reached the search stops and the result is
     flagged as truncated (never an exception).
     """
     w = as_word(word)
+    least_cap = max(2, max(w))
     if digit_cap is None:
-        digit_cap = default_digit_cap(w)
-    if digit_cap < max(2, max(w)):
+        digit_cap = least_cap + 1
+    if digit_cap < least_cap:
         raise InvalidWordError(f"digit cap {digit_cap} below max digit of {w}")
     moves = [(consume, produce) for _, consume, produce in _moves(len(w))]
     seen = {w}
@@ -197,33 +182,6 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
     return OrbitResult(frozenset(seen), truncated, digit_cap)
 
 
-def normal_form_by_orbit(
-    word,
-    size_cap: int = 10**6,
-    cap_ceiling: int = 16,
-) -> set[Word]:
-    """Reference normalizer: admissible orbit members found by BFS.
-
-    Starts at the default digit cap and doubles it (up to ``cap_ceiling``)
-    while the search completes without finding an admissible word; a
-    truncated, inconclusive search raises instead of guessing.
-    """
-    w = as_word(word)
-    cap = default_digit_cap(w)
-    while True:
-        result = orbit(w, cap, size_cap)
-        members = result.admissible_members()
-        if members:
-            return members
-        if result.truncated:
-            raise NormalizationError(
-                f"orbit of {w} truncated at {size_cap} states (digit cap {cap})"
-            )
-        if cap >= cap_ceiling:
-            return set()
-        cap = min(2 * cap, cap_ceiling)
-
-
 # --- class invariant in Z[phi] -------------------------------------------
 #
 # Sending the digit at position i to phi^i identifies a length-n circular
@@ -240,11 +198,13 @@ def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def phi_pair(word) -> tuple[int, int]:
-    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi."""
-    w = as_word(word)
+    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi.
+
+    Takes any sequence of ints; callers pass validated words.
+    """
     x = y = 0
     fa, fb = 1, 0  # phi^i == fa + fb*phi, starting at i = 0
-    for d in w:
+    for d in word:
         if d:
             x += d * fa
             y += d * fb
@@ -283,31 +243,32 @@ def _iround(p: int, q: int) -> int:
     return -((-2 * p + q) // (2 * q))
 
 
-# Offsets (c1, c2) tried around the rounded quotient, nearest first.  The
-# admissible representative's quotient lies within about 4 of the input's
-# in both coordinates; 6 leaves margin.  The window depends only on the
-# fractional part of the quotient, so it holds for pairs of any size.
-_SEARCH_WINDOW = 6
+# Offsets (c1, c2) tried around the rounded quotient, nearest first.  At
+# even length n >= 2 the admissible representative R of the class lies
+# within 2 of it in both coordinates, and within 1 for n >= 4:
+#
+# * R is a nonzero binary word with no two adjacent ones.  Its real
+#   embedding, the sum of phi^i over its ones, lies in [1, phi^n); its
+#   conjugate, the sum of (-1/phi)^i, lies in (-1, phi): the even powers
+#   sum to less than phi and the odd ones to more than -1.
+# * phi^n - 1 has embeddings phi^n - 1 and -(1 - phi^-n) (n even).  With
+#   a = 1/(1 - phi^-n) <= phi, the quotient R/(phi^n - 1) = t1 + t2*phi
+#   has embeddings s in (0, a) and c in (-phi*a, a), so
+#   t1 = (phi*c + s/phi)/sqrt5 lies in (-phi^2*a/sqrt5, a) and
+#   t2 = (s - c)/sqrt5 lies in (-a/sqrt5, phi^2*a/sqrt5).
+# * The input's quotient is t1 + t2*phi plus the integral shift sought;
+#   rounding it is off by at most 1/2 per coordinate.  So each offset is
+#   an integer of absolute value below 1/2 + phi^2*a/sqrt5: 2.39 at
+#   n = 2 (a = phi) and at most 1.87 from n = 4 on (a <= 1.171).
+#
+# The bound depends only on the fractional part of the quotient, so it
+# holds for pairs of any size.
+_SEARCH_WINDOW = 2
 _OFFSETS = sorted(
     ((c1, c2) for c1 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)
      for c2 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)),
     key=lambda c: (abs(c[0]) + abs(c[1]), max(abs(c[0]), abs(c[1])), c),
 )
-
-
-def class_key(word) -> tuple[int, int]:
-    """Canonical residue of the word's Z[phi] pair modulo (phi^n - 1).
-
-    Words of the same length are equivalent under the moves iff their keys
-    are equal, except that the all-zero word shares the identity's key
-    without being reachable from it.
-    """
-    w = as_word(word)
-    n = len(w)
-    x, y = phi_pair(w)
-    num1, num2, norm = _quotient(x, y, n)
-    sx, sy = _pair_mul((num1 // norm, num2 // norm), _modulus_pair(n))
-    return (x - sx, y - sy)
 
 
 def is_zero_residue(x: int, y: int, n: int) -> bool:
@@ -336,7 +297,8 @@ def decode_pair(x: int, y: int, n: int) -> Word:
 
     A zero residue decodes to the identity (01)^(n/2).  Works for pairs of
     any size: the search runs around the rounded quotient, so only its
-    fractional part matters.
+    fractional part matters.  The window is proven for even n, the only
+    lengths callers pass; a miss raises NormalizationError.
     """
     nu = _modulus_pair(n)
     num1, num2, norm = _quotient(x, y, n)
@@ -372,20 +334,21 @@ def normalize(word) -> Word:
         raise InvalidWordError(f"normalization requires even length, got {n}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
-    if is_admissible(w):
-        return _canonical_identity(w)
     return _normalize_cached(w)
 
 
-@lru_cache(maxsize=1 << 18)
+# No cache (maxsize=0); kept as an lru_cache because perfbench's tracer
+# reads its cache_info() counters.
+@lru_cache(maxsize=0)
 def _normalize_cached(w: Word) -> Word:
     return decode_pair(*phi_pair(w), len(w))
 
 
 def _canonical_identity(w: Word) -> Word:
-    n = len(w)
-    if n % 2 == 0 and w == alternating_word(n, first=1):
-        return alternating_word(n, first=0)
+    half = len(w) // 2
+    # an odd length never matches: the repeated tuple is one digit short
+    if w == (1, 0) * half:
+        return (0, 1) * half
     return w
 
 

@@ -71,16 +71,15 @@ def _target_valuations(ell: int) -> dict[str, int]:
 def classify(u) -> str:
     """Tag of the unique class equation the element satisfies.
 
-    The identity representatives are tagged by convention; every other
-    element must satisfy exactly one of the three valuation equations, and
-    a miss raises PartitionError rather than guessing.
+    The identity, (01)^l once ``canonical`` has mapped (10)^l to it, is
+    tagged T01 by convention; every other element must satisfy exactly one
+    of the three valuation equations, and a miss raises PartitionError
+    rather than guessing.
     """
     w = canonical(u)
     ell = len(w) // 2
     if w == identity(ell):
         return T01
-    if w == alternating_word(2 * ell, first=1):
-        return T10
     total = valuation(w) + valuation(neg(w))
     hits = [tag for tag, v in _target_valuations(ell).items() if v == total]
     if len(hits) != 1:
@@ -92,7 +91,7 @@ def structural_class(u) -> str:
     """Tag from the zero-run/suffix shape of the word; no group arithmetic."""
     w = canonical(u)
     ell = len(w) // 2
-    if w == identity(ell) or w == alternating_word(2 * ell, first=1):
+    if w == identity(ell):
         raise InvalidWordError("identity representatives are tagged by convention")
     run = 0
     while w[run] == 0:

@@ -26,6 +26,7 @@ from circfib.group import (
     repeat_morphism,
     scalar_mul,
 )
+from circfib.rewrite import normalize
 
 A004146 = [1, 5, 16, 45, 121, 320, 841, 2205]
 
@@ -75,6 +76,8 @@ def test_neg_involution_and_inverse_law():
         for u in enumerate_elements(ell):
             assert neg(neg(u)) == u
             assert add(u, neg(u)) == ident
+            # the complement oracle: 1^n is in the identity class
+            assert neg(u) == normalize(tuple(1 - d for d in u))
 
 
 def test_scalar_mul_examples():
