@@ -20,7 +20,8 @@ All arithmetic is exact (Python ints).
 from __future__ import annotations
 
 import threading
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, eq, sub
 
 from .errors import CapacityError, InvalidWordError
 
@@ -75,14 +76,16 @@ def zeckendorf(n: int, length: int) -> Word:
         raise InvalidWordError(f"length must be >= 1, got {length}")
     if n < 0:
         raise InvalidWordError(f"value must be nonnegative, got {n}")
-    if n >= fib(length):
-        raise CapacityError(f"{n} does not fit in {length} digits (max {fib(length) - 1})")
+    top = fib(length)  # also grows the cache through F(length)
+    if n >= top:
+        raise CapacityError(f"{n} does not fit in {length} digits (max {top - 1})")
+    fibs = _FIB_CACHE[2:length + 2]  # fibs[i] == fib(i)
     digits = [0] * length
     rem = n
     for i in range(length - 1, -1, -1):
-        if fib(i) <= rem:
+        if fibs[i] <= rem:
             digits[i] = 1
-            rem -= fib(i)
+            rem -= fibs[i]
     assert rem == 0
     return tuple(digits)
 
@@ -173,13 +176,11 @@ def check_balanced(letters: str, window: int) -> bool:
     """True iff all length-``window`` factors have a-counts within 1."""
     if window < 1 or window > len(letters):
         raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
-    count = letters[:window].count("a")
-    lo = hi = count
-    for i in range(window, len(letters)):
-        count += (letters[i] == "a") - (letters[i - window] == "a")
-        lo = min(lo, count)
-        hi = max(hi, count)
-    return hi - lo <= 1
+    # prefix[i] is the a-count of letters[:i]; each factor's count is a
+    # difference of two prefix sums
+    prefix = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+    counts = list(map(sub, prefix[window:], prefix))
+    return max(counts) - min(counts) <= 1
 
 
 def iter_words_binary(n: int):

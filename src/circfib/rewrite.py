@@ -19,14 +19,19 @@ moves, to an admissible word that is unique except for the single orbit
 containing 1^n, where (01)^l and (10)^l are both reachable and are
 identified; (01)^l is the canonical representative.
 
-``orbit`` explores equivalence classes by breadth-first search and is the
-reference oracle.  ``normalize`` is the production normalizer and has one
-route: validate the word, map it to its pair in Z[phi] (``phi_pair``), and
-let ``decode_pair`` reconstruct the admissible representative of that
-pair's residue modulo (phi^n - 1) by a search over the 25 lattice offsets
-that a written bound allows around the quotient.  The two routes are
-independent; ``verify.uniqueness_scan`` checks them against each other
-over every {0,1,2}-word at lengths 4, 6 and 8.
+``orbit`` explores the class of one word by breadth-first search over
+both directions; it serves ``circfib orbit`` and is the reference oracle in
+the tests.  ``move_classes`` partitions all {0,1,2}-words of a length at
+once, by one union-find over the forward moves at digit cap 3 (a backward
+move is the inverse of a forward one, so the classes are the same).
+``normalize`` is the production normalizer and has one route: validate the
+word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
+reconstruct the admissible representative of that pair's residue modulo
+(phi^n - 1) by a search over the 25 lattice offsets that a written bound
+allows around the quotient.  The routes are independent;
+``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
+``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
+tests check ``move_classes`` against ``orbit``.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
@@ -38,10 +43,12 @@ the tests.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     InapplicableMoveError,
@@ -49,13 +56,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import (
-    Word,
-    as_word,
-    fib,
-    is_admissible,
-    zeckendorf,
-)
+from .fibcore import Word, as_word, fib, zeckendorf
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,6 @@ class OrbitResult:
     truncated: bool
     digit_cap: int
 
-    def admissible_members(self) -> set[Word]:
-        return {w for w in self.words if is_admissible(w)}
-
 
 def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitResult:
     """Breadth-first closure of the word under all moves, both directions.
@@ -180,6 +178,53 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
                 seen.add(nxt)
                 queue.append(nxt)
     return OrbitResult(frozenset(seen), truncated, digit_cap)
+
+
+def move_classes(n: int) -> list[list[Word]]:
+    """The nonzero length-n words with digits at most 2, grouped by move class.
+
+    Two words share a class when moves connect them through words with
+    digits at most 3, the digit cap at which ``orbit`` explores the same
+    classes.  One union-find over the 4^n such words, coded in base 4,
+    joins each word to its image under every forward move: a backward move
+    is the inverse of a forward one, so forward edges alone give the same
+    connectivity.  Classes come in the lexicographic order of their first
+    members, and members in lexicographic order.
+    """
+    cap = 3
+    base = cap + 1
+    places = [base**i for i in range(n)]
+    parent = list(range(base**n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for move, consume, produce in _moves(n):
+        if not move.forward:
+            continue
+        eats, makes = dict(consume), dict(produce)
+        # Every word the move applies to without leaving the cap, listed
+        # slot by slot: a slot keeps at least what it loses and, after
+        # the move, at most the cap.  A slot that both loses and gains
+        # (short lengths) is bounded by both.
+        states = [0]
+        delta = 0
+        for i, place in enumerate(places):
+            lose, gain = eats.get(i, 0), makes.get(i, 0)
+            delta += (gain - lose) * place
+            digits = range(lose, min(base, base + lose - gain))
+            states = [s + d * place for s in states for d in digits]
+        for s in states:
+            a, b = find(s), find(s + delta)
+            if a != b:
+                parent[a] = b
+    classes: dict[int, list[Word]] = {}
+    for w in itertools.product(range(cap), repeat=n):
+        if any(w):
+            classes.setdefault(find(sum(map(mul, w, places))), []).append(w)
+    return list(classes.values())
 
 
 # --- class invariant in Z[phi] -------------------------------------------

@@ -26,7 +26,7 @@ from .fibcore import (
     rotate,
     valuation,
 )
-from .rewrite import normalize, orbit
+from .rewrite import move_classes, normalize
 
 PASS = "pass"
 FAIL = "fail"
@@ -99,30 +99,24 @@ def criterion_structure(max_ell: int = 7, d_fn: Callable[[int], int] | None = No
 def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     """Partition nonzero {0,1,2}-words of length n into move components.
 
-    Returns (component count, identity-pair component count, all_ok) where
-    all_ok requires every component to hold exactly one admissible word
-    (two alternating ones for the identity component) and ``normalize`` to
-    return it for every member.
+    The components are ``rewrite.move_classes(n)``: one union-find over the
+    forward moves at digit cap 3.  Returns (component count,
+    identity-pair component count, all_ok) where all_ok requires every
+    component to hold exactly one admissible word (two alternating ones for
+    the identity component) and ``normalize`` to return it for every
+    member.
     """
-    assigned: set = set()
     components = identity_components = 0
     ok = True
     id0, id1 = alternating_word(n, 0), alternating_word(n, 1)
-    for w in itertools.product((0, 1, 2), repeat=n):
-        if not any(w) or w in assigned:
-            continue
+    for members in move_classes(n):
         components += 1
-        result = orbit(w, 3, 10**6)
-        if result.truncated:
-            return components, identity_components, False
-        members = [x for x in result.words if max(x) <= 2]
-        assigned.update(members)
-        admissible = result.admissible_members()
+        admissible = {x for x in members if is_admissible(x)}
         if admissible == {id0, id1}:
             identity_components += 1
             target = id0
         elif len(admissible) == 1:
-            target = next(iter(admissible))
+            (target,) = admissible
         else:
             return components, identity_components, False
         if any(normalize(x) != target for x in members):

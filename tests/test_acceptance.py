@@ -150,3 +150,25 @@ def test_non_associative_law_is_caught(monkeypatch):
     bad = next(c for c in claims if c.subject == "group axioms ell=2")
     assert bad.status == verify.FAIL
     assert bad.detail == "assoc=False comm=True identity=True closed=True"
+
+
+def test_wrong_normal_form_is_caught(monkeypatch):
+    # a normalizer that is wrong on one {0,1,2}-word of length 6 only
+    from circfib.fibcore import iter_admissible
+
+    normalize = verify.normalize
+    victim = (2, 0, 0, 1, 0, 0)
+    right = normalize(victim)
+    wrong = next(w for w in iter_admissible(6) if any(w) and w != right)
+
+    def corrupted(w):
+        return wrong if w == victim else normalize(w)
+
+    monkeypatch.setattr(verify, "normalize", corrupted)
+    assert verify.uniqueness_scan(6) == (16, 1, False)
+    assert verify.uniqueness_scan(4) == (5, 1, True)
+    claims = verify.criterion_uniqueness(max_ell=3)
+    assert [(c.subject, c.status) for c in claims] == [
+        ("normal-form uniqueness n=4", verify.PASS),
+        ("normal-form uniqueness n=6", verify.FAIL),
+    ]

@@ -98,6 +98,29 @@ def test_zeckendorf_round_trip(n):
     assert valuation(w) == n
 
 
+def _zeckendorf_by_fib_calls(n, length):
+    # the greedy loop with one fib() call per digit, before it walked a
+    # slice of the Fibonacci cache
+    digits = [0] * length
+    rem = n
+    for i in range(length - 1, -1, -1):
+        if fib(i) <= rem:
+            digits[i] = 1
+            rem -= fib(i)
+    return tuple(digits)
+
+
+@given(st.integers(min_value=1, max_value=1200), st.integers(min_value=0))
+def test_zeckendorf_matches_fib_call_loop(length, seed):
+    top = fib(length)
+    for n in (seed % top, top - 1):
+        assert zeckendorf(n, length) == _zeckendorf_by_fib_calls(n, length)
+    with pytest.raises(CapacityError, match=f"max {top - 1}"):
+        zeckendorf(top, length)
+    with pytest.raises(InvalidWordError):
+        zeckendorf(-1, length)
+
+
 def test_is_admissible():
     assert is_admissible(parse_word("1000"))
     assert not is_admissible(parse_word("1001"))  # wrap pair
@@ -230,6 +253,29 @@ def test_check_balanced():
     assert check_balanced("aabbaa", 6)  # single factor
     with pytest.raises(InvalidWordError):
         check_balanced("ab", 3)
+
+
+def _balanced_by_sliding_count(letters, window):
+    # the sliding-count loop that prefix sums replaced
+    count = letters[:window].count("a")
+    lo = hi = count
+    for i in range(window, len(letters)):
+        count += (letters[i] == "a") - (letters[i - window] == "a")
+        lo = min(lo, count)
+        hi = max(hi, count)
+    return hi - lo <= 1
+
+
+@given(st.text(alphabet="ab", max_size=60), st.integers(min_value=-1, max_value=62))
+@example("", 1)
+@example("ab", 0)
+@example("ab", 3)
+def test_check_balanced_matches_sliding_count(letters, window):
+    if 1 <= window <= len(letters):
+        assert check_balanced(letters, window) == _balanced_by_sliding_count(letters, window)
+    else:
+        with pytest.raises(InvalidWordError, match=f"window must be in 1..{len(letters)}"):
+            check_balanced(letters, window)
 
 
 def test_word_text_syntax():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,13 +10,14 @@ from circfib.errors import (
     NormalizationError,
     ZeroWordError,
 )
-from circfib.fibcore import format_word, parse_word, valuation
+from circfib.fibcore import format_word, is_admissible, parse_word, valuation
 from circfib.rewrite import (
     Move,
     apply_move,
     applicable_moves,
     equivalent,
     is_zero_residue,
+    move_classes,
     normalize,
     orbit,
     phi_pair,
@@ -66,7 +69,7 @@ def test_non_seam_moves_preserve_valuation(digits):
 
 def test_orbit_identity_class():
     result = orbit(parse_word("1111"), 2, 10**6)
-    admissible = result.admissible_members()
+    admissible = set(filter(is_admissible, result.words))
     assert parse_word("0101") in admissible
     assert parse_word("1010") in admissible
     assert not result.truncated
@@ -74,13 +77,13 @@ def test_orbit_identity_class():
 
 def test_orbit_identity_class_no_other_admissible():
     result = orbit(parse_word("0101"), 2, 10**6)
-    assert result.admissible_members() == {parse_word("0101"), parse_word("1010")}
+    assert set(filter(is_admissible, result.words)) == {parse_word("0101"), parse_word("1010")}
 
 
 def test_orbit_odd_all_ones_has_no_admissible():
     result = orbit(parse_word("111"), 2, 10**6)
     assert not result.truncated
-    assert result.admissible_members() == set()
+    assert not any(map(is_admissible, result.words))
 
 
 def test_orbit_truncation_flagged():
@@ -161,6 +164,26 @@ def test_uniqueness_scan_n6():
         assert ok
         assert identity_components == 1
         assert components == group_order
+    # at length 2 the windows of both rules collide mod n
+    assert uniqueness_scan(2) == (1, 1, True)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_move_classes_match_orbit_oracle(n):
+    classes = move_classes(n)
+    by_orbit = set()
+    assigned = set()
+    for w in itertools.product((0, 1, 2), repeat=n):
+        if any(w) and w not in assigned:
+            members = frozenset(x for x in orbit(w, 3).words if max(x) <= 2)
+            assigned |= members
+            by_orbit.add(members)
+    assert {frozenset(c) for c in classes} == by_orbit
+    assert len(classes) == len(by_orbit)
+    # classes and their members in lexicographic order
+    assert all(c == sorted(c) for c in classes)
+    firsts = [c[0] for c in classes]
+    assert firsts == sorted(firsts)
 
 
 def test_forward_closure_of_mixed_length_sum():
@@ -179,8 +202,6 @@ def test_forward_closure_of_mixed_length_sum():
             if out not in seen:
                 seen.add(out)
                 stack.append(out)
-    from circfib.fibcore import is_admissible
-
     admissible = {w for w in seen if is_admissible(w)}
     assert admissible == {normalize(start)}
     assert parse_word("120100") in seen
