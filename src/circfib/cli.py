@@ -247,7 +247,8 @@ def dispatch(args) -> tuple[list[Record], int]:
             return records, 0
         if args.image_sets:
             records = []
-            for tag, cmp in sorted(typology.image_sets(args.ell, bound).items()):
+            classes = typology.type_classes(args.ell, bound)
+            for tag, cmp in sorted(typology.image_sets(classes).items()):
                 records.append(
                     {
                         "type": tag,
@@ -257,7 +258,7 @@ def dispatch(args) -> tuple[list[Record], int]:
                     }
                 )
             return records, 0
-        ok = typology.sigma_relation_check(args.ell, bound)
+        ok = typology.sigma_relation_check(typology.type_classes(args.ell, bound))
         return [{"check": "rotation-maps-T10-onto-T01", "status": "pass" if ok else "fail"}], (
             0 if ok else 1
         )

@@ -99,14 +99,6 @@ def is_admissible(word) -> bool:
     return 2 not in map(add, w, w[-1:] + w[:-1])
 
 
-def is_linear_admissible(word) -> bool:
-    """True iff all digits are 0/1 with no adjacent ones, ignoring the wrap."""
-    w = as_word(word)
-    if any(d > 1 for d in w):
-        return False
-    return not any(w[i - 1] == 1 and w[i] == 1 for i in range(1, len(w)))
-
-
 def rotate(word) -> Word:
     """One circular shift: the last digit moves to the front."""
     w = as_word(word)

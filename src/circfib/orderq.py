@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import InvalidWordError, ResourceBoundError
-from .fibcore import Word, as_word, fib, format_word, is_admissible, rotate, valuation, zeckendorf
+from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
 from .group import add, canonical, scalar_mul
 from .rewrite import _modulus_pair, _pair_mul, decode_pair
 
@@ -67,10 +67,6 @@ class PeriodicElement:
 
     word: Word
     primitive: Word
-
-    @property
-    def period_length(self) -> int:
-        return len(self.primitive)
 
 
 def primitive_period(u) -> Word:
@@ -126,7 +122,7 @@ def oplus(u, v) -> Word:
     return add(wu * (m // len(wu)), wv * (m // len(wv)))
 
 
-def pi_subgroup_index(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> int:
+def pi_subgroup_index(q: int) -> int:
     """Index of the subgroup generated by the distinguished pair.
 
     Whether P and P' generate the whole order-q group is not asserted
@@ -137,7 +133,7 @@ def pi_subgroup_index(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> int:
     span = {
         _scalar_sum(i, pi, j, pi_prime) for i in range(q) for j in range(q)
     }
-    total = len(p_group(q, max_ell))
+    total = len(p_group(q))
     assert total % len(span) == 0
     return total // len(span)
 
@@ -150,14 +146,11 @@ def _scalar_sum(i: int, u: Word, j: int, v: Word) -> Word:
 class PiMultiplesReport:
     """Outcome of the three checks on the distinguished pair for one q."""
 
-    q: int
-    length: int
     pi: Word
     pi_prime: Word
     multiples_match: bool
     rotation_match: bool
     satisfiers: tuple[Word, ...]
-    details: tuple[str, ...]
 
     @property
     def only_pi_pair_satisfies(self) -> bool:
@@ -199,31 +192,15 @@ def verify_pi_multiples(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> PiMulti
     reported in full rather than asserted, so that any extra satisfier is
     visible data.
     """
-    n = minimal_even_length(q)
     pi, pi_prime = pi_words(q)
-    details = []
-
-    multiples_ok = True
-    for name, w in (("P", pi), ("P'", pi_prime)):
-        ok = multiples_match(w, q)
-        multiples_ok = multiples_ok and ok
-        details.append(f"{name} multiples {'match' if ok else 'MISMATCH'}")
-
-    rotation_ok = rotate(pi_prime) == pi
-    details.append(f"rotate(P') {'==' if rotation_ok else '!='} P")
-
+    multiples_ok = multiples_match(pi, q) and multiples_match(pi_prime, q)
     satisfiers = tuple(
         e.word for e in p_group(q, max_ell) if multiples_match(e.word, q)
     )
-    details.append("satisfiers: " + " ".join(format_word(w) for w in satisfiers))
-
     return PiMultiplesReport(
-        q=q,
-        length=n,
         pi=pi,
         pi_prime=pi_prime,
         multiples_match=multiples_ok,
-        rotation_match=rotation_ok,
+        rotation_match=rotate(pi_prime) == pi,
         satisfiers=satisfiers,
-        details=tuple(details),
     )

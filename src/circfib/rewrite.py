@@ -22,8 +22,9 @@ identified; (01)^l is the canonical representative.
 ``orbit`` explores the class of one word by breadth-first search over
 both directions; it serves ``circfib orbit`` and is the reference oracle in
 the tests.  ``move_classes`` partitions all {0,1,2}-words of a length at
-once, by one union-find over the forward moves at digit cap 3 (a backward
-move is the inverse of a forward one, so the classes are the same).
+once, by one union-find over the forward rule A moves at digit cap 3 (a
+backward move is the inverse of a forward one, and at that cap a rule B
+move is a composition of two rule A moves, so the classes are the same).
 ``normalize`` is the production normalizer and has one route: validate the
 word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
 reconstruct the admissible representative of that pair's residue modulo
@@ -35,8 +36,8 @@ tests check ``move_classes`` against ``orbit``.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
-which is its k = -1) decodes k times the pair once, and ``is_zero_residue``
-and ``residue_order`` answer order questions with no decoding at all.
+which is its k = -1) decodes k times the pair once, and ``residue_order``
+answers order questions with no decoding at all.
 Word-level ``group.add`` (digit sum, then ``normalize``) is their oracle in
 the tests.
 """
@@ -143,7 +144,6 @@ class OrbitResult:
 
     words: frozenset[Word]
     truncated: bool
-    digit_cap: int
 
 
 def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitResult:
@@ -177,7 +177,7 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
                     break
                 seen.add(nxt)
                 queue.append(nxt)
-    return OrbitResult(frozenset(seen), truncated, digit_cap)
+    return OrbitResult(frozenset(seen), truncated)
 
 
 def move_classes(n: int) -> list[list[Word]]:
@@ -186,10 +186,11 @@ def move_classes(n: int) -> list[list[Word]]:
     Two words share a class when moves connect them through words with
     digits at most 3, the digit cap at which ``orbit`` explores the same
     classes.  One union-find over the 4^n such words, coded in base 4,
-    joins each word to its image under every forward move: a backward move
-    is the inverse of a forward one, so forward edges alone give the same
-    connectivity.  Classes come in the lexicographic order of their first
-    members, and members in lexicographic order.
+    joins each word to its image under every forward rule A move: a
+    backward move is the inverse of a forward one, and a rule B move within
+    the cap is two rule A moves within the cap (see below), so these edges
+    alone give the same connectivity.  Classes come in the lexicographic
+    order of their first members, and members in lexicographic order.
     """
     cap = 3
     base = cap + 1
@@ -201,8 +202,17 @@ def move_classes(n: int) -> list[list[Word]]:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
+    # Rule B is not needed.  For n >= 4, where k-2, k-1, k and k+1 are
+    # distinct, forward B at k (w[k] -= 2, w[k-2] += 1, w[k+1] += 1) equals
+    # backward A at k-1 (w[k] -= 1, w[k-2] += 1, w[k-1] += 1) then forward
+    # A at k (w[k-1] -= 1, w[k] -= 1, w[k+1] += 1), or the same two moves
+    # in the other order.  The middle word differs from the start and end
+    # words at k-1 only, by +1 in the first order and -1 in the second, so
+    # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
+    # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
+    # with the ``orbit`` oracle instead.
     for move, consume, produce in _moves(n):
-        if not move.forward:
+        if not move.forward or move.rule != "A":
             continue
         eats, makes = dict(consume), dict(produce)
         # Every word the move applies to without leaving the cap, listed
@@ -314,16 +324,6 @@ _OFFSETS = sorted(
      for c2 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)),
     key=lambda c: (abs(c[0]) + abs(c[1]), max(abs(c[0]), abs(c[1])), c),
 )
-
-
-def is_zero_residue(x: int, y: int, n: int) -> bool:
-    """True iff x + y*phi is divisible by phi^n - 1 in Z[phi].
-
-    At even length n this is the identity class of the group (the pair of
-    (01)^(n/2) is phi^n - 1 itself).
-    """
-    num1, num2, norm = _quotient(x, y, n)
-    return num1 % norm == 0 and num2 % norm == 0
 
 
 def residue_order(x: int, y: int, n: int) -> int:

@@ -13,9 +13,11 @@ mirrored relative to the shape rule stated for the opposite reading, and
 that mirrored assignment is the one cross-validated exhaustively against
 the valuation classes (see ``STRUCTURAL_LABELS``).
 
-The valuation images of the classes are compared against closed-form sets
-built from prefixes of the infinite word: T10 matches its formula exactly,
-T01 differs by the constant +1 under these conventions, and T11 matches
+``type_classes`` computes the partition once, classifying each element
+once; ``image_sets`` and ``sigma_relation_check`` read it.  The valuation
+images of the classes are compared against closed-form sets built from
+prefixes of the infinite word: T10 matches its formula exactly, T01
+differs by the constant +1 under these conventions, and T11 matches
 exactly.  ``image_sets`` reports computed set, formula set, and fitted
 offset instead of asserting equality.
 """
@@ -25,24 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidWordError, PartitionError
-from .fibcore import (
-    alternating_word,
-    fib,
-    fibonacci_word_prefix,
-    letter_counts,
-    rotate,
-    valuation,
-)
-from .group import (
-    DEFAULT_ENUM_BOUND,
-    canonical,
-    d_value,
-    enumerate_elements,
-    identity,
-    neg,
-    scalar_mul,
-)
-from .orderq import minimal_even_length, pi_words
+from .fibcore import Word, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
+from .group import DEFAULT_ENUM_BOUND, canonical, d_value, enumerate_elements, identity, neg
 
 T01 = "T01"
 T10 = "T10"
@@ -126,23 +112,30 @@ def _prefix_counts(upto: int) -> list[tuple[int, int]]:
     return counts
 
 
-def image_sets(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, ImageSetComparison]:
-    """Computed valuation image of each class next to its closed-form set.
+def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, frozenset[Word]]:
+    """The type partition of the group: each tag's class as a set of words.
 
-    Computed sets include the identity representatives in their
-    conventional classes.  Formula sets range over prefixes M_k of the
-    infinite word: k < F(2l-2) for T10 and T01, k < F(2l-5) - 1 for T11.
+    Every element but the identity is classified once.  By convention the
+    identity is represented in two classes, as (01)^l in T01 and as
+    (10)^l in T10.
     """
-    n = 2 * ell
-    computed: dict[str, set[int]] = {tag: set() for tag in TAGS}
     ident = identity(ell)
+    classes: dict[str, set[Word]] = {T01: {ident}, T10: {rotate(ident)}, T11: set()}
     for u in enumerate_elements(ell, max_ell):
-        if u == ident:
-            continue
-        computed[classify(u)].add(valuation(u))
-    computed[T01].add(fib(n) - 1)
-    computed[T10].add(fib(n - 1) - 1)
+        if u != ident:
+            classes[classify(u)].add(u)
+    return {tag: frozenset(words) for tag, words in classes.items()}
 
+
+def image_sets(classes: dict[str, frozenset[Word]]) -> dict[str, ImageSetComparison]:
+    """Valuation image of each class of ``type_classes`` next to its closed-form set.
+
+    Formula sets range over prefixes M_k of the infinite word: k < F(2l-2)
+    for T10 and T01, k < F(2l-5) - 1 for T11.  A shift that maps one
+    finite set onto another maps its minimum to the other's minimum, so
+    the only candidate offset is the difference of the minima.
+    """
+    ell = len(next(iter(classes[T01]))) // 2  # T01 always holds (01)^l
     main_range = fib(2 * ell - 2)
     t11_range = max(0, fib(2 * ell - 5) - 1) if 2 * ell - 5 >= -2 else 0
     main_counts = _prefix_counts(main_range)
@@ -154,39 +147,18 @@ def image_sets(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, ImageSe
 
     out = {}
     for tag in TAGS:
-        comp, form = frozenset(computed[tag]), frozenset(formula[tag])
-        offset = None
-        if len(comp) == len(form):
-            if not form:
-                offset = 0
-            else:
-                candidates = sorted({c - f for c in comp for f in form}, key=abs)
-                for c in candidates:
-                    if comp == frozenset(f + c for f in form):
-                        offset = c
-                        break
+        comp = frozenset(map(valuation, classes[tag]))
+        form = frozenset(formula[tag])
+        c = min(comp) - min(form) if comp and form else 0
+        offset = c if comp == frozenset(f + c for f in form) else None
         out[tag] = ImageSetComparison(tag, comp, form, offset)
     return out
 
 
-def sigma_relation_check(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> bool:
-    """True iff rotation maps the T10 class onto the T01 class bijectively.
-
-    Both classes are taken with their conventional identity representative
-    included, as raw words.
-    """
-    ident = identity(ell)
-    t01 = {ident}
-    t10 = {alternating_word(2 * ell, first=1)}
-    for u in enumerate_elements(ell, max_ell):
-        if u == ident:
-            continue
-        tag = classify(u)
-        if tag == T01:
-            t01.add(u)
-        elif tag == T10:
-            t10.add(u)
-    return {rotate(w) for w in t10} == t01
+def sigma_relation_check(classes: dict[str, frozenset[Word]]) -> bool:
+    """True iff rotation maps the T10 class of ``type_classes`` onto its
+    T01 class bijectively."""
+    return {rotate(w) for w in classes[T10]} == classes[T01]
 
 
 @dataclass(frozen=True)
@@ -228,43 +200,3 @@ def fib_partition(ell: int) -> list[PartitionBlock]:
     if len(counts) != 1:
         raise PartitionError(f"blocks at ell={ell} have non-constant counts: {counts}")
     return blocks
-
-
-@dataclass(frozen=True)
-class KPiTypeReport:
-    """Tags of the multiples of the distinguished pair for q = d(l)."""
-
-    ell: int
-    q: int
-    pi_tags: tuple[str, ...]
-    pi_prime_tags: tuple[str, ...]
-
-    @property
-    def single_tag_per_family(self) -> bool:
-        return len(set(self.pi_tags)) == 1 and len(set(self.pi_prime_tags)) == 1
-
-    @property
-    def families_distinct(self) -> bool:
-        return set(self.pi_tags).isdisjoint(self.pi_prime_tags)
-
-    @property
-    def ok(self) -> bool:
-        return self.single_tag_per_family and self.families_distinct
-
-
-def k_pi_type_check(ell: int) -> KPiTypeReport:
-    """Classify every multiple k*P and k*P' for 1 <= k < q, q = d(l).
-
-    Each family is expected to carry a single tag, the two families
-    different ones; which family gets which label under this package's
-    conventions is reported, not asserted.
-    """
-    q = d_value(ell)
-    if q < 2:
-        raise InvalidWordError(f"d({ell}) = {q} < 2: no multiples to classify")
-    if minimal_even_length(q) != 2 * ell:
-        raise InvalidWordError(f"canonical length for q={q} is not 2*{ell}")
-    pi, pi_prime = pi_words(q)
-    pi_tags = tuple(classify(scalar_mul(k, pi)) for k in range(1, q))
-    pi_prime_tags = tuple(classify(scalar_mul(k, pi_prime)) for k in range(1, q))
-    return KPiTypeReport(ell, q, pi_tags, pi_prime_tags)

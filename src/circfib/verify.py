@@ -22,9 +22,7 @@ from .fibcore import (
     check_balanced,
     fibonacci_word_prefix,
     is_admissible,
-    iter_words_binary,
     rotate,
-    valuation,
 )
 from .rewrite import move_classes, normalize
 
@@ -45,16 +43,11 @@ class Claim:
 
 @dataclass
 class VerificationReport:
-    suite: str
     claims: list[Claim] = field(default_factory=list)
 
     @property
     def failures(self) -> list[Claim]:
         return [c for c in self.claims if c.status == FAIL]
-
-    @property
-    def discrepancies(self) -> list[Claim]:
-        return [c for c in self.claims if c.status == DISCREPANCY]
 
     @property
     def ok(self) -> bool:
@@ -214,11 +207,11 @@ def criterion_order_q(max_q: int = 10) -> list[Claim]:
     return claims
 
 
-def criterion_p_group(max_q: int = 6, max_ell: int = 12) -> list[Claim]:
+def criterion_p_group(max_q: int = 6) -> list[Claim]:
     """Order q^2, exponent q, two-generator certificate; mixed-length sums."""
     claims = []
     for q in range(2, min(6, max_q) + 1):
-        elements = [e.word for e in orderq.p_group(q, max_ell)]
+        elements = [e.word for e in orderq.p_group(q)]
         try:
             exponent, _ = group.certify_factors(elements)
             certificate = f"exponent {exponent}, certified=True"
@@ -233,7 +226,7 @@ def criterion_p_group(max_q: int = 6, max_ell: int = 12) -> list[Claim]:
                 f"size {len(elements)} (want {q * q}), {certificate}",
             )
         )
-        index = orderq.pi_subgroup_index(q, max_ell)
+        index = orderq.pi_subgroup_index(q)
         claims.append(
             _claim(
                 "6",
@@ -294,26 +287,36 @@ def criterion_gcd(max_index: int = 30) -> list[Claim]:
 
 
 def criterion_types(max_ell: int = 7) -> list[Claim]:
-    """Partition totality, rotation relation, and image-set comparisons."""
-    claims = []
-    totality_ok = True
+    """Partition totality, rotation relation, and image-set comparisons.
+
+    Each ell's partition is built once, by ``typology.type_classes``, and
+    every row reads it.
+    """
+    top = min(7, max_ell)
+    partitions = {}
+    for ell in range(1, top + 1):
+        try:
+            partitions[ell] = typology.type_classes(ell)
+        except CircfibError:
+            pass
     structural_ok = True
-    for ell in range(2, min(7, max_ell) + 1):
+    for ell, classes in partitions.items():
         ident = group.identity(ell)
-        for u in group.enumerate_elements(ell):
-            try:
-                tag = typology.classify(u)
-            except CircfibError:
-                totality_ok = False
-                continue
-            if u != ident and typology.structural_class(u) != tag:
+        for tag, words in classes.items():
+            # the identity representatives are tagged by convention only
+            if any(typology.structural_class(u) != tag for u in words - {ident, rotate(ident)}):
                 structural_ok = False
-    claims.append(_claim("8", f"classify total ell<={min(7, max_ell)}", totality_ok))
-    claims.append(_claim("8", "structural rule agrees with classify", structural_ok))
-    sigma_ok = all(typology.sigma_relation_check(ell) for ell in range(1, min(7, max_ell) + 1))
-    claims.append(_claim("8", "rotation maps T10 onto T01", sigma_ok))
+    total_ok = len(partitions) == top
+    sigma_ok = total_ok and all(map(typology.sigma_relation_check, partitions.values()))
+    claims = [
+        _claim("8", f"classify total ell<={top}", total_ok),
+        _claim("8", "structural rule agrees with classify", structural_ok),
+        _claim("8", "rotation maps T10 onto T01", sigma_ok),
+    ]
     for ell in range(2, min(6, max_ell) + 1):
-        sets = typology.image_sets(ell)
+        if ell not in partitions:
+            continue  # failed as "classify total"
+        sets = typology.image_sets(partitions[ell])
         t10 = sets[typology.T10]
         claims.append(
             _claim("8", f"T10 image set ell={ell}", t10.exact, f"offset {t10.offset}")
@@ -362,12 +365,9 @@ def criterion_partition(max_ell: int = 10) -> list[Claim]:
     for ell in range(3, min(6, max_ell) + 1):
         q = group.d_value(ell)
         pi, _ = orderq.pi_words(q)
-        base = valuation(pi)
-        values = [valuation(group.scalar_mul(i, pi)) for i in range(1, q + 1)]
-        increments_ok = values[0] == base and all(
-            values[i] - values[i - 1] == base for i in range(1, q)
-        )
-        claims.append(_claim("9", f"multiples increment ell={ell} q={q}", increments_ok))
+        # i*P is the Zeckendorf word of i*valuation(P), so valuations step by valuation(P)
+        ok = orderq.multiples_match(pi, q)
+        claims.append(_claim("9", f"multiples increment ell={ell} q={q}", ok))
     return claims
 
 
@@ -393,8 +393,7 @@ def criterion_wheels(max_ell: int = 8) -> list[Claim]:
         if not report.bijective or report.identity_fiber != 1:
             bijective_ok = False
         raw = {wheels.tree_to_word(t) for t in wheels.spanning_trees(ell)}
-        even_blocks = {w for w in iter_words_binary(2 * ell) if wheels.is_tree_word(w)}
-        if raw != even_blocks:
+        if raw != report.tree_words:
             characterization_ok = False
     claims.append(_claim("10", "taxonomy bijective ell<=6", bijective_ok))
     claims.append(_claim("10", "even-zero-block characterization ell<=6", characterization_ok))
@@ -457,7 +456,7 @@ def run_verify(
     """Run every suite at bounds capped by max_ell and max_q."""
     if max_ell < 1 or max_q < 2:
         raise CircfibError("bounds must satisfy max_ell >= 1, max_q >= 2")
-    report = VerificationReport(suite=f"verify max_ell={max_ell} max_q={max_q}")
+    report = VerificationReport()
     report.claims += criterion_cardinalities(max_ell)
     report.claims += criterion_structure(max_ell, d_fn)
     report.claims += criterion_uniqueness(max_ell)

@@ -13,6 +13,9 @@ spoke i is in the tree, position 2i+1 is 0 iff rim edge i is in the tree
 binary circular words whose cyclic blocks of zeros all have even length,
 and normalizing them maps the spanning trees bijectively onto the group of
 parameter l, which transports the group law onto trees.
+``identity_fiber_report`` scans the 2^(2l) binary words for them once and
+keeps the set, so the characterization and the bijection are checked on
+the same scan.
 """
 
 from __future__ import annotations
@@ -174,14 +177,14 @@ def is_tree_word(word) -> bool:
 
 
 @lru_cache(maxsize=32)
-def taxonomy_table(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[Word, WheelTree]:
+def taxonomy_table(ell: int) -> dict[Word, WheelTree]:
     """Inverse of the taxonomy map, built by enumeration.
 
     Raises if two trees normalize to the same element, which would falsify
     the bijection; the tables are cached per l.
     """
     table: dict[Word, WheelTree] = {}
-    for tree in spanning_trees(ell, max_ell):
+    for tree in spanning_trees(ell):
         element = taxonomy(tree)
         if element in table:
             raise InvalidWordError(
@@ -191,11 +194,11 @@ def taxonomy_table(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[Word, Wh
     return table
 
 
-def tree_add(t1: WheelTree, t2: WheelTree, max_ell: int = DEFAULT_ENUM_BOUND) -> WheelTree:
+def tree_add(t1: WheelTree, t2: WheelTree) -> WheelTree:
     """The group law transported onto spanning trees via the taxonomy."""
     if t1.ell != t2.ell:
         raise InvalidWordError(f"wheel size mismatch: {t1.ell} vs {t2.ell}")
-    table = taxonomy_table(t1.ell, max_ell)
+    table = taxonomy_table(t1.ell)
     return table[add(taxonomy(t1), taxonomy(t2))]
 
 
@@ -209,9 +212,13 @@ class IdentityFiberReport:
     """Fiber sizes of the tree-word map onto group elements at one l."""
 
     ell: int
-    tree_word_count: int
+    tree_words: frozenset[Word]
     group_order: int
     fiber_sizes: dict[Word, int]
+
+    @property
+    def tree_word_count(self) -> int:
+        return len(self.tree_words)
 
     @property
     def identity_fiber(self) -> int:
@@ -228,17 +235,16 @@ class IdentityFiberReport:
 def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> IdentityFiberReport:
     """How many even-zero-block words normalize to each group element.
 
-    The taxonomy is expected to be a bijection, so every fiber should have
-    size one, with the identity class represented by 1^(2l) alone.  The
-    report records the actual sizes rather than presuming them.
+    Scans the 2^(2l) binary words once and keeps the tree words it finds
+    in the report.  The taxonomy is expected to be a bijection,
+    so every fiber should have size one, with the identity class
+    represented by 1^(2l) alone.  The report records the actual sizes
+    rather than presuming them.
     """
+    tree_words = frozenset(filter(is_tree_word, iter_words_binary(2 * ell)))
     fiber: dict[Word, int] = {}
-    count = 0
-    for w in iter_words_binary(2 * ell):
-        if not is_tree_word(w):
-            continue
-        count += 1
+    for w in tree_words:
         element = normalize(w)
         fiber[element] = fiber.get(element, 0) + 1
     order = len(enumerate_elements(ell, max_ell))
-    return IdentityFiberReport(ell, count, order, fiber)
+    return IdentityFiberReport(ell, tree_words, order, fiber)

@@ -172,3 +172,65 @@ def test_wrong_normal_form_is_caught(monkeypatch):
         ("normal-form uniqueness n=4", verify.PASS),
         ("normal-form uniqueness n=6", verify.FAIL),
     ]
+
+
+def test_wrong_type_is_caught(monkeypatch):
+    # a classifier that tags one T01 element of ell = 3 as T10
+    from circfib import group, typology
+
+    classify = typology.classify
+    victim = next(
+        u for u in group.enumerate_elements(3)
+        if u != group.identity(3) and classify(u) == typology.T01
+    )
+
+    def corrupted(u):
+        return typology.T10 if u == victim else classify(u)
+
+    monkeypatch.setattr(typology, "classify", corrupted)
+    status = {c.subject: c.status for c in verify.criterion_types(max_ell=4)}
+    assert status["classify total ell<=4"] == verify.PASS
+    assert status["structural rule agrees with classify"] == verify.FAIL
+    assert status["rotation maps T10 onto T01"] == verify.FAIL
+    assert status["T10 image set ell=3"] == verify.FAIL
+    assert status["T10 image set ell=4"] == verify.PASS
+
+
+def test_wrong_last_multiple_is_caught(monkeypatch):
+    # a sum that is right except that it returns the identity as (10)^l,
+    # which only the q-th multiple of the distinguished word reaches
+    from circfib import group, orderq
+    from circfib.fibcore import rotate
+
+    def corrupted(u, v):
+        s = group.add(u, v)
+        return rotate(s) if s == group.identity(len(s) // 2) else s
+
+    monkeypatch.setattr(orderq, "add", corrupted)
+    claims = verify.criterion_partition(max_ell=5)
+    multiples = [c for c in claims if c.subject.startswith("multiples increment")]
+    assert [c.subject for c in multiples] == [
+        "multiples increment ell=3 q=4",
+        "multiples increment ell=4 q=3",
+        "multiples increment ell=5 q=11",
+    ]
+    assert all(c.status == verify.FAIL for c in multiples)
+    assert all(c.status == verify.PASS for c in claims if c not in multiples)
+
+
+def test_wrong_taxonomy_is_caught(monkeypatch):
+    # a normalizer that sends two tree words of length 8 to one element
+    from circfib import wheels
+
+    normalize = wheels.normalize
+    star, other = (1,) * 8, (0, 0, 1, 1, 1, 1, 1, 1)
+    assert wheels.is_tree_word(other)
+
+    def corrupted(w):
+        return normalize(star if w == other else w)
+
+    monkeypatch.setattr(wheels, "normalize", corrupted)
+    status = {c.subject: c.status for c in verify.criterion_wheels(max_ell=4)}
+    assert status["taxonomy bijective ell<=6"] == verify.FAIL
+    assert status["even-zero-block characterization ell<=6"] == verify.PASS
+    assert status["transported group laws ell<=3"] == verify.PASS

@@ -6,12 +6,17 @@ from circfib.baseb import (
     BaseBWord,
     circ_add_base_b,
     multiplicative_order,
-    parse_base_b,
     period_word,
     verify_cyclic_group,
     word_from_value,
 )
 from circfib.errors import InvalidWordError
+
+
+def parse_base_b(text: str, base: int) -> BaseBWord:
+    if "," in text:
+        return BaseBWord(tuple(int(p) for p in text.split(",")), base)
+    return BaseBWord(tuple(int(c) for c in text), base)
 
 
 def test_circ_add_examples():

@@ -186,3 +186,13 @@ def test_verify_default_golden_output(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert out == golden.read_text()
+
+
+# stdout, stderr and exit code of `types`, `wheel --verify-bijection` and
+# `orderq --verify` invocations, including bound and input errors
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_cli_golden_output(capsys, case):
+    assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

@@ -16,7 +16,6 @@ from circfib.fibcore import (
     fibonacci_word_prefix,
     format_word,
     is_admissible,
-    is_linear_admissible,
     iter_admissible,
     letter_counts,
     parse_word,
@@ -24,6 +23,14 @@ from circfib.fibcore import (
     valuation,
     zeckendorf,
 )
+
+
+def is_linear_admissible(word) -> bool:
+    """True iff all digits are 0/1 with no adjacent ones, ignoring the wrap."""
+    w = as_word(word)
+    if any(d > 1 for d in w):
+        return False
+    return not any(w[i - 1] == 1 and w[i] == 1 for i in range(1, len(w)))
 
 
 def test_fib_convention():

@@ -3,7 +3,7 @@ import pytest
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import format_word, is_admissible, parse_word, rotate, valuation
 from circfib.group import add, d_value, enumerate_elements, identity
-from circfib.rewrite import is_zero_residue, phi_pair
+from circfib.rewrite import phi_pair, residue_order
 from circfib.orderq import (
     minimal_even_length,
     oplus,
@@ -100,7 +100,7 @@ def test_p_group_matches_enumeration_oracle():
         expected = []
         for w in enumerate_elements(n // 2, max_ell=12):
             x, y = phi_pair(w)
-            if is_zero_residue(q * x, q * y, n):
+            if residue_order(q * x, q * y, n) == 1:
                 expected.append(w)
         got = p_group(q)
         assert [e.word for e in got] == expected, q

@@ -16,11 +16,11 @@ from circfib.rewrite import (
     apply_move,
     applicable_moves,
     equivalent,
-    is_zero_residue,
     move_classes,
     normalize,
     orbit,
     phi_pair,
+    residue_order,
 )
 from circfib.verify import uniqueness_scan
 
@@ -186,6 +186,34 @@ def test_move_classes_match_orbit_oracle(n):
     assert firsts == sorted(firsts)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_rule_b_is_two_rule_a_moves(n):
+    # the lemma behind move_classes using rule A only: within digit cap 3,
+    # forward B at k is backward A at k-1 and forward A at k, taken in an
+    # order whose middle word also stays within the cap
+    for k in range(n):
+        back, fwd = Move("A", k - 1, False), Move("A", k)
+        for window in itertools.product(range(4), repeat=4):
+            w = [0] * n
+            for offset, d in zip((-2, -1, 0, 1), window):
+                w[(k + offset) % n] = d
+            w = tuple(w)
+            try:
+                target = apply_move(w, Move("B", k))
+            except InapplicableMoveError:
+                continue
+            if max(target) > 3:
+                continue
+            ends = []
+            for first, second in ((back, fwd), (fwd, back)):
+                try:
+                    middle = apply_move(w, first)
+                except InapplicableMoveError:
+                    continue
+                if max(middle) <= 3:
+                    ends.append(apply_move(middle, second))
+            assert ends and all(end == target for end in ends), (w, k)
+
 def test_forward_closure_of_mixed_length_sum():
     # the normalization of this word (a mixed-length sum plus identity)
     # needs seam-crossing moves; under the value-shift moves the forward
@@ -212,7 +240,7 @@ def test_class_key_is_move_invariant():
     x, y = phi_pair(w)
     for move in applicable_moves(w):
         mx, my = phi_pair(apply_move(w, move))
-        assert is_zero_residue(mx - x, my - y, len(w)), move
+        assert residue_order(mx - x, my - y, len(w)) == 1, move
 
 
 @st.composite

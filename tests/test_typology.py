@@ -1,9 +1,11 @@
+from dataclasses import dataclass
+
 import pytest
 
 from circfib.errors import InvalidWordError, PartitionError
 from circfib.fibcore import fib, parse_word, valuation
-from circfib.group import d_value, enumerate_elements, identity
-from circfib.orderq import pi_words
+from circfib.group import d_value, enumerate_elements, identity, scalar_mul
+from circfib.orderq import minimal_even_length, pi_words
 from circfib.typology import (
     T01,
     T10,
@@ -11,9 +13,9 @@ from circfib.typology import (
     classify,
     fib_partition,
     image_sets,
-    k_pi_type_check,
     sigma_relation_check,
     structural_class,
+    type_classes,
 )
 
 
@@ -62,7 +64,7 @@ def test_class_sizes_ell2():
 
 
 def test_image_sets_ell2_values():
-    sets = image_sets(2)
+    sets = image_sets(type_classes(2))
     assert sets[T10].computed == frozenset({1, 3, 4})
     assert sets[T10].formula == frozenset({1, 3, 4})
     assert sets[T10].exact and sets[T10].offset == 0
@@ -74,17 +76,41 @@ def test_image_sets_ell2_values():
 
 def test_image_set_offsets_stable():
     for ell in range(2, 6):
-        sets = image_sets(ell)
+        sets = image_sets(type_classes(ell))
         assert sets[T10].exact, ell
         assert sets[T01].offset == 1, ell
         assert sets[T11].offset == 0, ell  # exact wherever nonempty
 
 
+def test_type_classes_classify_each_element():
+    for ell in range(1, 6):
+        classes = type_classes(ell)
+        ident = identity(ell)
+        assert classes[T01] & classes[T10] == frozenset()
+        assert ident in classes[T01] and parse_word("10" * ell) in classes[T10]
+        words = set().union(*classes.values()) - {parse_word("10" * ell)}
+        assert words == set(enumerate_elements(ell))
+        for tag, members in classes.items():
+            assert all(classify(u) == tag for u in members - {ident, parse_word("10" * ell)})
+
+
+def test_image_sets_without_an_offset():
+    # a T11 element moved into T01: neither class is a shift of its formula
+    classes = dict(type_classes(4))
+    moved = min(classes[T11])
+    classes[T01] = classes[T01] | {moved}
+    classes[T11] = classes[T11] - {moved}
+    sets = image_sets(classes)
+    assert sets[T01].offset is None and sets[T11].offset is None
+    assert sets[T10].offset == 0
+    assert not sigma_relation_check(classes)
+
+
 def test_sigma_relation():
-    assert sigma_relation_check(1)
-    assert sigma_relation_check(2)
-    assert sigma_relation_check(3)
-    assert sigma_relation_check(4)
+    assert sigma_relation_check(type_classes(1))
+    assert sigma_relation_check(type_classes(2))
+    assert sigma_relation_check(type_classes(3))
+    assert sigma_relation_check(type_classes(4))
 
 
 def test_fib_partition_small():
@@ -116,6 +142,34 @@ def test_fib_partition_block_weight_equals_second_pi_valuation():
 def test_fib_partition_domain():
     with pytest.raises(InvalidWordError):
         fib_partition(2)
+
+
+@dataclass(frozen=True)
+class KPiTypeReport:
+    """Tags of the multiples of the distinguished pair for q = d(l)."""
+
+    ell: int
+    q: int
+    pi_tags: tuple[str, ...]
+    pi_prime_tags: tuple[str, ...]
+
+    @property
+    def single_tag_per_family(self) -> bool:
+        return len(set(self.pi_tags)) == 1 and len(set(self.pi_prime_tags)) == 1
+
+    @property
+    def families_distinct(self) -> bool:
+        return set(self.pi_tags).isdisjoint(self.pi_prime_tags)
+
+
+def k_pi_type_check(ell: int) -> KPiTypeReport:
+    """Classify every multiple k*P and k*P' for 1 <= k < q, q = d(l)."""
+    q = d_value(ell)
+    assert q >= 2 and minimal_even_length(q) == 2 * ell
+    pi, pi_prime = pi_words(q)
+    pi_tags = tuple(classify(scalar_mul(k, pi)) for k in range(1, q))
+    pi_prime_tags = tuple(classify(scalar_mul(k, pi_prime)) for k in range(1, q))
+    return KPiTypeReport(ell, q, pi_tags, pi_prime_tags)
 
 
 def test_k_pi_type_check():
