@@ -33,17 +33,6 @@ def render(records: list[Record], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def parse_records(text: str, fmt: str) -> list[Record]:
-    """Inverse of render, for round-trip checks and cache reuse."""
-    lines = [line for line in text.splitlines() if line]
-    if fmt == "jsonlines":
-        return [json.loads(line) for line in lines]
-    if not lines:
-        return []
-    fields = lines[0].split("\t")
-    return [dict(zip(fields, line.split("\t"))) for line in lines[1:]]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circfib",

@@ -9,8 +9,8 @@ The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
 for odd l.  ``decompose`` certifies this empirically from the elements
 rather than assuming it.  ``certify_factors`` is the one two-generator
-certificate: ``decompose`` and the order-q criterion of ``verify`` both
-call it.
+certificate: ``decompose`` (criterion 2) and the order-q criterion call it;
+its ``cyclic_subgroup`` also serves ``orderq.pi_subgroup_index``.
 """
 
 from __future__ import annotations
@@ -108,15 +108,11 @@ def d_value(ell: int) -> int:
     return fib(ell - 1) + fib(ell - 3)
 
 
-def factor_shape(ell: int, d: int) -> tuple[int, int]:
-    """(e1, e2) with e2 | e1 for parameter l and invariant d: (d, d) for
-    odd l, (5d, d) for even l."""
-    return (5 * d, d) if ell % 2 == 0 else (d, d)
-
-
 def predicted_invariant_factors(ell: int) -> tuple[int, int]:
-    """The invariant factors that the d-formula predicts for parameter l."""
-    return factor_shape(ell, d_value(ell))
+    """The invariant factors (e1, e2), e2 | e1, that the d-formula predicts
+    for parameter l: (d, d) for odd l and (5d, d) for even l."""
+    d = d_value(ell)
+    return (5 * d, d) if ell % 2 == 0 else (d, d)
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,8 @@ def element_order(u) -> int:
     return residue_order(*phi_pair(w), len(w))
 
 
-def _cyclic_subgroup(w: Word) -> set[Word]:
+def cyclic_subgroup(w: Word) -> set[Word]:
+    """The multiples of the element w, identity included, by iterated ``add``."""
     ident = identity(len(w) // 2)
     out = {ident}
     acc = w
@@ -152,8 +149,8 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
     certified by exhibiting two generators.
 
     Finds g1 of maximal order e1 (the exponent) and, unless the group is
-    cyclic, g2 of order e2 = order/e1 whose cyclic subgroup meets <g1> only
-    in the identity.  Order d^2 with exponent d does not by itself force
+    cyclic, g2 of order e2 = order/e1 whose ``cyclic_subgroup`` meets <g1>
+    only in the identity.  Order d^2 with exponent d does not by itself force
     Z/d x Z/d, so the second generator is required; failure raises
     StructureMismatchError.
     """
@@ -165,10 +162,10 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
     e2 = order // e1
     if e2 > 1:
         g1 = next(u for u, k in orders.items() if k == e1)
-        sub1 = _cyclic_subgroup(g1)
+        sub1 = cyclic_subgroup(g1)
         # both subgroups hold the identity, so meeting only there is size 1
         if not any(
-            k == e2 and len(sub1 & _cyclic_subgroup(g2)) == 1
+            k == e2 and len(sub1 & cyclic_subgroup(g2)) == 1
             for g2, k in orders.items()
         ):
             raise StructureMismatchError(

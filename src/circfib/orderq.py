@@ -27,7 +27,7 @@ from math import lcm
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
-from .group import add, canonical, scalar_mul
+from .group import add, canonical, cyclic_subgroup
 from .rewrite import _modulus_pair, _pair_mul, decode_pair
 
 DEFAULT_P_GROUP_BOUND = 12
@@ -123,23 +123,19 @@ def oplus(u, v) -> Word:
 
 
 def pi_subgroup_index(q: int) -> int:
-    """Index of the subgroup generated by the distinguished pair.
+    """Index of the subgroup <P> + <P'> generated by the distinguished pair.
 
-    Whether P and P' generate the whole order-q group is not asserted
-    anywhere; this computes the generated subgroup by closure and returns
-    its index (1 means they generate).
+    Reported, not asserted (1 means they generate).  The group is abelian,
+    so <P> + <P'> has |<P>| * |<P'>| / |<P> & <P'>| elements, with the
+    cyclic subgroups of ``group.cyclic_subgroup``; the closure of the q^2
+    sums i*P + j*P' is the oracle in the tests.
     """
     pi, pi_prime = pi_words(q)
-    span = {
-        _scalar_sum(i, pi, j, pi_prime) for i in range(q) for j in range(q)
-    }
+    sub, sub_prime = cyclic_subgroup(pi), cyclic_subgroup(pi_prime)
+    span = len(sub) * len(sub_prime) // len(sub & sub_prime)
     total = len(p_group(q))
-    assert total % len(span) == 0
-    return total // len(span)
-
-
-def _scalar_sum(i: int, u: Word, j: int, v: Word) -> Word:
-    return add(scalar_mul(i, u), scalar_mul(j, v))
+    assert total % span == 0
+    return total // span
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ nonnegativity, so they apply on the full alphabet of nonnegative ints, not
 just on the binary patterns 110 <-> 001 and 0020 <-> 1001 that they induce
 there.  The moves of a length come from one list (``_moves``) with their
 consumed and produced amounts, applied by one routine (``_apply``) that
-``apply_move``, ``applicable_moves`` and the orbit BFS share.
+``apply_move`` and the orbit BFS share.
 
 Every nonzero circular word of even length is equivalent, under these
 moves, to an admissible word that is unique except for the single orbit
@@ -127,15 +127,6 @@ def apply_move(word, move: Move) -> Word:
     if out is None:
         raise InapplicableMoveError(f"move {move} does not apply to {w}")
     return out
-
-
-def applicable_moves(word):
-    """All moves (both rules, both directions) that apply to the word."""
-    w = as_word(word)
-    return [
-        move for move, consume, produce in _moves(len(w))
-        if _apply(w, consume, produce) is not None
-    ]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ and normalizing them maps the spanning trees bijectively onto the group of
 parameter l, which transports the group law onto trees.
 ``identity_fiber_report`` scans the 2^(2l) binary words for them once and
 keeps the set, so the characterization and the bijection are checked on
-the same scan.
+the same scan.  ``tree_add`` normalizes the sum of the two raw words once.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class WheelTree:
     ell: int
     spokes: frozenset[int]
     rims: frozenset[int]
-
-    def edge_count(self) -> int:
-        return len(self.spokes) + len(self.rims)
 
 
 def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
@@ -195,11 +192,12 @@ def taxonomy_table(ell: int) -> dict[Word, WheelTree]:
 
 
 def tree_add(t1: WheelTree, t2: WheelTree) -> WheelTree:
-    """The group law transported onto spanning trees via the taxonomy."""
+    """The group law transported onto spanning trees via the taxonomy; a raw
+    word has its tree's residue, so ``add`` of the raw words is the sum."""
     if t1.ell != t2.ell:
         raise InvalidWordError(f"wheel size mismatch: {t1.ell} vs {t2.ell}")
     table = taxonomy_table(t1.ell)
-    return table[add(taxonomy(t1), taxonomy(t2))]
+    return table[add(tree_to_word(t1), tree_to_word(t2))]
 
 
 def star_tree(ell: int) -> WheelTree:
@@ -239,8 +237,10 @@ def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> Identi
     in the report.  The taxonomy is expected to be a bijection,
     so every fiber should have size one, with the identity class
     represented by 1^(2l) alone.  The report records the actual sizes
-    rather than presuming them.
+    rather than presuming them.  The bound is checked before the scan.
     """
+    if ell > max_ell:
+        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
     tree_words = frozenset(filter(is_tree_word, iter_words_binary(2 * ell)))
     fiber: dict[Word, int] = {}
     for w in tree_words:

@@ -70,7 +70,7 @@ def test_criterion_06_order_q_group():
 
 def test_criterion_07_gcd_property():
     t0 = time.time()
-    claims = verify.criterion_gcd(max_index=30)
+    claims = verify.criterion_gcd()
     _drive("criterion 7 (gcd property to 30, morphism pairs)", claims)
     assert time.time() - t0 < 10
 
@@ -119,13 +119,16 @@ def test_full_report_aggregation():
     assert all(c.status in (verify.PASS, verify.DISCREPANCY) for c in report.claims)
 
 
-def test_negative_control_corrupted_d_formula():
+def test_negative_control_corrupted_d_formula(monkeypatch):
     from circfib import group
 
-    def corrupted(ell):
-        return group.d_value(ell) + (1 if ell == 5 else 0)
+    d_value = group.d_value
 
-    report = verify.run_verify(max_ell=5, max_q=2, d_fn=corrupted)
+    def corrupted(ell):
+        return d_value(ell) + (1 if ell == 5 else 0)
+
+    monkeypatch.setattr(group, "d_value", corrupted)
+    report = verify.run_verify(max_ell=5, max_q=2)
     assert not report.ok
     assert report.exit_code() == 1
     assert any("structure ell=5" == c.subject for c in report.failures)

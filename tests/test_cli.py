@@ -4,8 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from circfib import cache
-from circfib.cli import main, parse_records, render
+from circfib import cache, wheels
+from circfib.cli import main, render
+
+
+def parse_records(text, fmt):
+    """Inverse of ``render``, for round-trip checks."""
+    lines = [line for line in text.splitlines() if line]
+    if fmt == "jsonlines":
+        return [json.loads(line) for line in lines]
+    if not lines:
+        return []
+    fields = lines[0].split("\t")
+    return [dict(zip(fields, line.split("\t"))) for line in lines[1:]]
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +197,15 @@ def test_verify_default_golden_output(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     assert out == golden.read_text()
+
+
+def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch):
+    def no_scan(n):
+        raise AssertionError(f"scanned the 2^{n} binary words")
+
+    monkeypatch.setattr(wheels, "iter_words_binary", no_scan)
+    code, out, err = run_cli(capsys, "wheel", "--ell", "40", "--verify-bijection")
+    assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
 
 
 # stdout, stderr and exit code of `types`, `wheel --verify-bijection` and

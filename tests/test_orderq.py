@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
+from circfib import orderq
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import format_word, is_admissible, parse_word, rotate, valuation
-from circfib.group import add, d_value, enumerate_elements, identity
+from circfib.group import add, d_value, enumerate_elements, identity, scalar_mul
 from circfib.rewrite import phi_pair, residue_order
 from circfib.orderq import (
     minimal_even_length,
@@ -152,3 +155,28 @@ def test_pi_subgroup_index_reported():
         index = pi_subgroup_index(q)
         assert index >= 1
         assert (q * q) % index == 0
+
+
+def closure_index(q, pi, pi_prime):
+    # the span of the pair as the closure of the q^2 sums i*P + j*P'
+    span = {add(scalar_mul(i, pi), scalar_mul(j, pi_prime)) for i in range(q) for j in range(q)}
+    return len(p_group(q)) // len(span)
+
+
+def test_pi_subgroup_index_matches_closure():
+    for q in range(2, 8):
+        assert pi_subgroup_index(q) == closure_index(q, *pi_words(q)), q
+
+
+def test_pi_subgroup_index_matches_closure_on_every_pair(monkeypatch):
+    # every real distinguished pair generates (index 1), so the pair is
+    # replaced by each pair of order-4 elements to meet non-trivial
+    # intersections of the two cyclic subgroups
+    elements = [e.word for e in p_group(4)]
+    indices = set()
+    for pair in itertools.product(elements, repeat=2):
+        monkeypatch.setattr(orderq, "pi_words", lambda q: pair)
+        index = pi_subgroup_index(4)
+        assert index == closure_index(4, *pair), pair
+        indices.add(index)
+    assert indices == {1, 2, 4, 8, 16}

@@ -10,11 +10,10 @@ from circfib.errors import (
     NormalizationError,
     ZeroWordError,
 )
-from circfib.fibcore import format_word, is_admissible, parse_word, valuation
+from circfib.fibcore import as_word, format_word, is_admissible, parse_word, valuation
 from circfib.rewrite import (
     Move,
     apply_move,
-    applicable_moves,
     equivalent,
     move_classes,
     normalize,
@@ -23,6 +22,15 @@ from circfib.rewrite import (
     residue_order,
 )
 from circfib.verify import uniqueness_scan
+
+
+def applicable_moves(word):
+    """All moves (both rules, both directions) that apply to the word."""
+    w = as_word(word)
+    return [
+        move for move, consume, produce in rewrite._moves(len(w))
+        if rewrite._apply(w, consume, produce) is not None
+    ]
 
 
 def test_apply_move_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import format_word, iter_words_binary, parse_word
-from circfib.group import enumerate_elements, identity
+from circfib.group import add, enumerate_elements, identity
 from circfib.wheels import (
     WheelTree,
     count_trees_matrix,
@@ -37,7 +37,7 @@ def test_spanning_tree_counts():
 def test_spanning_trees_are_trees():
     for ell in (1, 2, 3, 4):
         for tree in spanning_trees(ell):
-            assert tree.edge_count() == ell
+            assert len(tree.spokes) + len(tree.rims) == ell
 
 
 def test_spanning_trees_bound():
@@ -110,6 +110,15 @@ def test_tree_add_group_axioms_ell2():
         assert tree_add(t1, t2) == tree_add(t2, t1)
     for t1, t2, t3 in itertools.product(trees, repeat=3):
         assert tree_add(tree_add(t1, t2), t3) == tree_add(t1, tree_add(t2, t3))
+
+
+def test_tree_add_matches_sum_of_taxonomies():
+    # tree_add normalizes the sum of the raw words; the sum of the two
+    # normalized elements is the oracle
+    for ell in (1, 2, 3):
+        table = taxonomy_table(ell)
+        for t1, t2 in itertools.product(spanning_trees(ell), repeat=2):
+            assert tree_add(t1, t2) == table[add(taxonomy(t1), taxonomy(t2))]
 
 
 def test_tree_add_size_mismatch():
