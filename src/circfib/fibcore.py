@@ -92,7 +92,11 @@ def zeckendorf(n: int, length: int) -> Word:
 
 def is_admissible(word) -> bool:
     """True iff all digits are 0/1 and no two cyclically adjacent ones."""
-    w = as_word(word)
+    return _is_admissible(as_word(word))
+
+
+def _is_admissible(w: Word) -> bool:
+    """``is_admissible`` of a word tuple that ``as_word`` has already validated."""
     if max(w) > 1:
         return False
     # on 0/1 digits a cyclically adjacent pair of ones is the only sum of 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import index
+import operator
 
 from .errors import (
     InvalidWordError,
@@ -28,13 +28,19 @@ from .errors import (
 from .fibcore import (
     Word,
     alternating_word,
+    _is_admissible,
     as_word,
     classical_fib,
     fib,
-    is_admissible,
     iter_admissible,
 )
-from .rewrite import _canonical_identity, decode_pair, normalize, phi_pair, residue_order
+from .rewrite import (
+    _canonical_identity,
+    _normalize_word,
+    decode_pair,
+    phi_pair,
+    residue_order,
+)
 
 DEFAULT_ENUM_BOUND = 10
 
@@ -53,7 +59,7 @@ def canonical(word) -> Word:
         raise InvalidWordError(f"group elements have even length, got {len(w)}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
-    if not is_admissible(w):
+    if not _is_admissible(w):
         raise InvalidWordError(f"not an admissible circular word: {w}")
     return _canonical_identity(w)
 
@@ -63,7 +69,7 @@ def add(u, v) -> Word:
     wu, wv = as_word(u), as_word(v)
     if len(wu) != len(wv):
         raise InvalidWordError(f"length mismatch: {len(wu)} vs {len(wv)}")
-    return normalize(tuple(a + b for a, b in zip(wu, wv)))
+    return _normalize_word(tuple(map(operator.add, wu, wv)))
 
 
 def neg(u) -> Word:
@@ -83,7 +89,7 @@ def scalar_mul(k: int, u) -> Word:
     in the tests.
     """
     w = canonical(u)
-    k = index(k)
+    k = operator.index(k)
     x, y = phi_pair(w)
     return decode_pair(k * x, k * y, len(w))
 
@@ -195,13 +201,14 @@ def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
 def repeat_morphism(u, n: int) -> Word:
     """Concatenate the word with itself n times.
 
-    Cyclic admissibility is preserved by literal repetition, so no
-    normalization is needed; the map is an injective homomorphism into the
-    group of parameter n*l.
+    Cyclic admissibility is preserved by literal repetition, and the
+    canonical identity (01)^l repeats to (01)^(n*l), so the result needs
+    neither normalization nor a second check; the map is an injective
+    homomorphism into the group of parameter n*l.
     """
     if n < 1:
         raise InvalidWordError(f"repetition count must be >= 1, got {n}")
-    return canonical(canonical(u) * n)
+    return canonical(u) * n
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,12 @@ move is a composition of two rule A moves, so the classes are the same).
 word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
 reconstruct the admissible representative of that pair's residue modulo
 (phi^n - 1) by a search over the 25 lattice offsets that a written bound
-allows around the quotient.  The routes are independent;
+allows around the quotient.  Each offset's candidate is the greedy
+Zeckendorf word of its valuation, checked by one sum for its y coordinate
+(the valuation then fixes x; the proof is next to the window proof).  The
+public entry points validate once: ``normalize`` and ``equivalent`` call
+``as_word`` and pass the tuple to ``_normalize_word``, which
+``group.add`` also calls on its digit sum.  The routes are independent;
 ``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
 ``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
 tests check ``move_classes`` against ``orbit``.
@@ -57,7 +62,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import Word, as_word, fib, zeckendorf
+from .fibcore import _FIB_CACHE, Word, as_word, fib
 
 
 @dataclass(frozen=True)
@@ -309,6 +314,17 @@ def _iround(p: int, q: int) -> int:
 #
 # The bound depends only on the fractional part of the quotient, so it
 # holds for pairs of any size.
+#
+# Each offset leaves a pair (ax, ay) to test.  Its one candidate word is the
+# Zeckendorf form of value = ax + 2*ay, built greedily, and one sum checks
+# it.  The candidate has the pair (ax, ay) exactly when its y coordinate is
+# ay, because equal y forces equal x:
+#
+# * phi^i = fib(i-3) + fib(i-2)*phi, so the y coordinate of a binary word is
+#   the sum of fib(i-2) = _FIB_CACHE[i] over its ones.
+# * fib(i) = fib(i-3) + 2*fib(i-2), so a word with pair (cx, cy) has
+#   valuation cx + 2*cy.  The greedy word for 1 <= value < fib(n) exists and
+#   has valuation value = ax + 2*ay, so cy == ay gives cx == ax.
 _SEARCH_WINDOW = 2
 _OFFSETS = sorted(
     ((c1, c2) for c1 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)
@@ -333,25 +349,35 @@ def decode_pair(x: int, y: int, n: int) -> Word:
 
     A zero residue decodes to the identity (01)^(n/2).  Works for pairs of
     any size: the search runs around the rounded quotient, so only its
-    fractional part matters.  The window is proven for even n, the only
-    lengths callers pass; a miss raises NormalizationError.
+    fractional part matters.  Each offset's candidate is the greedy
+    Zeckendorf word of its valuation, accepted when one sum shows that its
+    y coordinate matches (the x coordinate then matches too).  The window
+    is proven for even n, the only lengths callers pass; a miss raises
+    NormalizationError.
     """
     nu = _modulus_pair(n)
     num1, num2, norm = _quotient(x, y, n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
-    max_value = fib(n) - 1
+    top = fib(n)  # also grows the cache through fib(n)
+    fibs = _FIB_CACHE[2:n + 2]  # fibs[i] == fib(i), the valuation of phi^i
+    ys = _FIB_CACHE[0:n]  # ys[i] == fib(i-2), the y coordinate of phi^i
     for c1, c2 in _OFFSETS:
         sx, sy = _pair_mul((q1 + c1, q2 + c2), nu)
         ax, ay = x - sx, y - sy
         value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
-        if value < 1 or value > max_value:
+        if value < 1 or value >= top:
             continue
-        candidate = zeckendorf(value, n)
-        if phi_pair(candidate) != (ax, ay):
+        digits = [0] * n
+        rem = value
+        for i in range(n - 1, -1, -1):
+            if fibs[i] <= rem:
+                digits[i] = 1
+                rem -= fibs[i]
+        if sum(itertools.compress(ys, digits)) != ay:
             continue
-        if candidate[0] == 1 and candidate[-1] == 1:
+        if digits[0] == 1 and digits[-1] == 1:
             continue  # linear Zeckendorf form, but not cyclically admissible
-        return _canonical_identity(candidate)
+        return _canonical_identity(tuple(digits))
     raise NormalizationError(
         f"no admissible word of length {n} found for the pair ({x}, {y}); "
         "the uniqueness assumption may be violated"
@@ -364,7 +390,11 @@ def normalize(word) -> Word:
     Requires even length and a nonzero word.  If the input lies in the
     orbit of 1^n the canonical representative (01)^(n/2) is returned.
     """
-    w = as_word(word)
+    return _normalize_word(as_word(word))
+
+
+def _normalize_word(w: Word) -> Word:
+    """``normalize`` of a word tuple that ``as_word`` has already validated."""
     n = len(w)
     if n % 2 != 0:
         raise InvalidWordError(f"normalization requires even length, got {n}")
@@ -393,4 +423,4 @@ def equivalent(u, v) -> bool:
     wu, wv = as_word(u), as_word(v)
     if len(wu) != len(wv):
         raise InvalidWordError(f"length mismatch: {len(wu)} vs {len(wv)}")
-    return normalize(wu) == normalize(wv)
+    return _normalize_word(wu) == _normalize_word(wv)

@@ -208,11 +208,17 @@ def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch)
     assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
 
 
-# stdout, stderr and exit code of `types`, `wheel --verify-bijection` and
-# `orderq --verify` invocations, including bound and input errors
+# stdout, stderr and exit code of `types`, `wheel --verify-bijection`,
+# `orderq --verify`, `reduce`, `add`, `neg` and `mul` invocations, including
+# bound and input errors; the arithmetic cases run at lengths 8 to 1000
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", CLI_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def _case_id(case):
+    # long word arguments are shortened to their head and character count
+    return " ".join(a if len(a) <= 24 else f"{a[:12]}...[{len(a)}]" for a in case["argv"])
+
+
+@pytest.mark.parametrize("case", CLI_GOLDEN, ids=_case_id)
 def test_cli_golden_output(capsys, case):
     assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

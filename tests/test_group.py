@@ -26,7 +26,7 @@ from circfib.group import (
     repeat_morphism,
     scalar_mul,
 )
-from circfib.rewrite import normalize
+from circfib.rewrite import equivalent, normalize
 
 A004146 = [1, 5, 16, 45, 121, 320, 841, 2205]
 
@@ -231,6 +231,16 @@ def test_repeat_morphism_examples():
     assert format_word(repeat_morphism(parse_word("0001"), 2)) == "00010001"
 
 
+def test_repeat_morphism_returns_canonical_elements():
+    # repeating a canonical element needs no second check: the result is
+    # admissible and its own canonical form, the identity included
+    assert repeat_morphism(parse_word("10"), 3) == parse_word("010101")
+    for ell, reps in ((1, 3), (2, 2), (3, 2)):
+        for u in enumerate_elements(ell):
+            image = repeat_morphism(u, reps)
+            assert canonical(image) == image
+
+
 def test_repeat_morphism_is_injective_homomorphism():
     for ell, reps in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         elements = enumerate_elements(ell)
@@ -251,3 +261,61 @@ def test_gcd_property_report():
     assert any(c.m == 6 and c.lhs == 8 and c.rhs == 8 for c in report.even_index_checks)
     with pytest.raises(InvalidWordError):
         gcd_property_report(1)
+
+
+# Type and message of each public operation on each malformed input, pinned
+# from the release that validated inputs at every layer; validating once at
+# the boundary must keep them.  A non-error outcome is the return value.
+_CONTRACT_INPUTS = {
+    "empty": ((), (0, 1)),
+    "negative digit": ((0, -1, 0, 1), (0, 1, 0, 1)),
+    "odd length": ((0, 1, 0), (1, 0, 0)),
+    "zero word": ((0, 0, 0, 0), (0, 0, 0, 0)),
+    "length mismatch": ((0, 1), (0, 1, 0, 1)),
+    "non-admissible": ((1, 1, 0, 0), (0, 2, 0, 0)),
+}
+_CONTRACT_OPS = {
+    "add": add,
+    "neg": lambda u, v: neg(u),
+    "scalar_mul": lambda u, v: scalar_mul(3, u),
+    "normalize": lambda u, v: normalize(u),
+    "equivalent": equivalent,
+    "is_admissible": lambda u, v: is_admissible(u),
+}
+_EVEN_LENGTH = ("InvalidWordError", "normalization requires even length, got 3")
+_ELEMENT_LENGTH = ("InvalidWordError", "group elements have even length, got 3")
+_EMPTY = ("InvalidWordError", "word must have length >= 1")
+_NEGATIVE = ("InvalidWordError", "word digits must be nonnegative: (0, -1, 0, 1)")
+_ZERO = ("ZeroWordError", "the zero word is not a group element")
+_MISMATCH = ("InvalidWordError", "length mismatch: 2 vs 4")
+_NOT_ADMISSIBLE = ("InvalidWordError", "not an admissible circular word: (1, 1, 0, 0)")
+_CONTRACT = {
+    "add": (_EMPTY, _NEGATIVE, _EVEN_LENGTH, _ZERO, _MISMATCH, (0, 1, 0, 1)),
+    "neg": (_EMPTY, _NEGATIVE, _ELEMENT_LENGTH, _ZERO, (0, 1), _NOT_ADMISSIBLE),
+    "scalar_mul": (_EMPTY, _NEGATIVE, _ELEMENT_LENGTH, _ZERO, (0, 1), _NOT_ADMISSIBLE),
+    "normalize": (_EMPTY, _NEGATIVE, _EVEN_LENGTH, _ZERO, (0, 1), (0, 0, 1, 0)),
+    "equivalent": (_EMPTY, _NEGATIVE, _EVEN_LENGTH, _ZERO, _MISMATCH, False),
+    "is_admissible": (_EMPTY, _NEGATIVE, True, True, True, False),
+}
+# the same digits as a list, a one-shot generator and a "0101"-style string
+_FORMS = {"list": list, "generator": iter, "string": lambda d: "".join(map(str, d))}
+
+
+@pytest.mark.parametrize(
+    "op, case, form",
+    [
+        (op, case, form)
+        for op in _CONTRACT_OPS
+        for case in _CONTRACT_INPUTS
+        for form in _FORMS
+        if not (form == "string" and case == "negative digit")  # no such string
+    ],
+)
+def test_validation_error_contract(op, case, form):
+    u, v = _CONTRACT_INPUTS[case]
+    convert = _FORMS[form]
+    try:
+        outcome = _CONTRACT_OPS[op](convert(u), convert(v))
+    except (InvalidWordError, ZeroWordError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    assert outcome == dict(zip(_CONTRACT_INPUTS, _CONTRACT[op]))[case]

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circfib import rewrite
 from circfib.errors import (
@@ -10,7 +10,15 @@ from circfib.errors import (
     NormalizationError,
     ZeroWordError,
 )
-from circfib.fibcore import as_word, format_word, is_admissible, parse_word, valuation
+from circfib.fibcore import (
+    as_word,
+    fib,
+    format_word,
+    is_admissible,
+    parse_word,
+    valuation,
+    zeckendorf,
+)
 from circfib.rewrite import (
     Move,
     apply_move,
@@ -252,8 +260,8 @@ def test_class_key_is_move_invariant():
 
 
 @st.composite
-def _length_and_pair(draw):
-    n = draw(st.sampled_from((2, 4, 6, 24, 60, 1000)))
+def _length_and_pair(draw, lengths=(2, 4, 6, 24, 60, 1000)):
+    n = draw(st.sampled_from(lengths))
     if draw(st.booleans()):
         coordinate = st.integers(min_value=-10**40, max_value=10**40)
         return n, (draw(coordinate), draw(coordinate))
@@ -274,6 +282,49 @@ def test_decode_offset_within_proven_window(case):
     bound = 1 if n >= 4 else 2
     assert abs(s1 // snorm - rewrite._iround(num1, norm)) <= bound
     assert abs(s2 // snorm - rewrite._iround(num2, norm)) <= bound
+
+
+def oracle_decode_pair(x, y, n):
+    """The decoder that rebuilt each candidate's whole pair: the Zeckendorf
+    word of the candidate's valuation, accepted when ``phi_pair`` of it
+    equals the candidate pair."""
+    nu = rewrite._modulus_pair(n)
+    num1, num2, norm = rewrite._quotient(x, y, n)
+    q1, q2 = rewrite._iround(num1, norm), rewrite._iround(num2, norm)
+    max_value = fib(n) - 1
+    for c1, c2 in rewrite._OFFSETS:
+        sx, sy = rewrite._pair_mul((q1 + c1, q2 + c2), nu)
+        ax, ay = x - sx, y - sy
+        value = ax + 2 * ay
+        if value < 1 or value > max_value:
+            continue
+        candidate = zeckendorf(value, n)
+        if phi_pair(candidate) != (ax, ay):
+            continue
+        if candidate[0] == 1 and candidate[-1] == 1:
+            continue
+        return rewrite._canonical_identity(candidate)
+    raise NormalizationError(
+        f"no admissible word of length {n} found for the pair ({x}, {y}); "
+        "the uniqueness assumption may be violated"
+    )
+
+
+def _outcome(decode, x, y, n):
+    try:
+        return decode(x, y, n)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_length_and_pair(lengths=(2, 4, 6, 24, 60, 240, 1000)))
+@example((4, (-12, 1)))  # the first candidate in range has the wrong pair
+def test_decode_pair_matches_pair_rebuilding_oracle(case):
+    # the one-sum candidate check accepts exactly the candidates whose
+    # rebuilt pair matches
+    n, (x, y) = case
+    assert _outcome(rewrite.decode_pair, x, y, n) == _outcome(oracle_decode_pair, x, y, n)
 
 
 def test_decode_error_names_pair_and_length(monkeypatch):
