@@ -62,7 +62,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import _FIB_CACHE, Word, as_word, fib
+from .fibcore import _FIB_CACHE, Word, as_word, fib, zeckendorf
 
 
 @dataclass(frozen=True)
@@ -358,26 +358,20 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     nu = _modulus_pair(n)
     num1, num2, norm = _quotient(x, y, n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
-    top = fib(n)  # also grows the cache through fib(n)
-    fibs = _FIB_CACHE[2:n + 2]  # fibs[i] == fib(i), the valuation of phi^i
+    max_value = fib(n) - 1  # fib(n) also grows the cache that ys slices
     ys = _FIB_CACHE[0:n]  # ys[i] == fib(i-2), the y coordinate of phi^i
     for c1, c2 in _OFFSETS:
         sx, sy = _pair_mul((q1 + c1, q2 + c2), nu)
         ax, ay = x - sx, y - sy
         value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
-        if value < 1 or value >= top:
+        if value < 1 or value > max_value:
             continue
-        digits = [0] * n
-        rem = value
-        for i in range(n - 1, -1, -1):
-            if fibs[i] <= rem:
-                digits[i] = 1
-                rem -= fibs[i]
-        if sum(itertools.compress(ys, digits)) != ay:
+        candidate = zeckendorf(value, n)
+        if sum(itertools.compress(ys, candidate)) != ay:
             continue
-        if digits[0] == 1 and digits[-1] == 1:
+        if candidate[0] == 1 and candidate[-1] == 1:
             continue  # linear Zeckendorf form, but not cyclically admissible
-        return _canonical_identity(tuple(digits))
+        return _canonical_identity(candidate)
     raise NormalizationError(
         f"no admissible word of length {n} found for the pair ({x}, {y}); "
         "the uniqueness assumption may be violated"
