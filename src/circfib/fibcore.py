@@ -173,9 +173,9 @@ def check_balanced(letters: str, window: int) -> bool:
     if window < 1 or window > len(letters):
         raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
     # prefix[i] is the a-count of letters[:i]; each factor's count is a
-    # difference of two prefix sums
+    # difference of two prefix sums, and only the distinct counts matter
     prefix = list(accumulate(map(eq, letters, repeat("a")), initial=0))
-    counts = list(map(sub, prefix[window:], prefix))
+    counts = set(map(sub, prefix[window:], prefix))
     return max(counts) - min(counts) <= 1
 
 

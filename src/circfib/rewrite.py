@@ -222,8 +222,13 @@ def move_classes(n: int) -> list[list[Word]]:
             delta += (gain - lose) * place
             digits = range(lose, min(base, base + lose - gain))
             states = [s + d * place for s in states for d in digits]
-        for s in states:
-            a, b = find(s), find(s + delta)
+        # find() written out for both ends: this loop runs once per edge
+        for a in states:
+            b = a + delta
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
     classes: dict[int, list[Word]] = {}

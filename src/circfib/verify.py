@@ -17,6 +17,7 @@ from math import lcm
 from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, StructureMismatchError
 from .fibcore import (
+    _is_admissible,
     alternating_word,
     check_balanced,
     fibonacci_word_prefix,
@@ -101,7 +102,7 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     id0, id1 = alternating_word(n, 0), alternating_word(n, 1)
     for members in move_classes(n):
         components += 1
-        admissible = {x for x in members if is_admissible(x)}
+        admissible = {x for x in members if _is_admissible(x)}
         if admissible == {id0, id1}:
             identity_components += 1
             target = id0
@@ -136,7 +137,11 @@ def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
     """Exhaustive group laws at small parameters; inverses up to ell = 6.
 
     The laws are read off one Cayley table per parameter, built by
-    ``group.add`` over all pairs of elements.
+    ``group.add`` over all pairs of elements.  Closure, commutativity and
+    the identity law compare its words.  When it is closed, associativity
+    is checked on its integer form, whose entry (i, j) is the index of the
+    i-th element plus the j-th: row (u + v) of that table must equal row v
+    read through row u, which is (u + v) + t == u + (v + t) for every t.
     """
     claims = []
     for ell in range(1, min(4, max_ell) + 1):
@@ -145,22 +150,22 @@ def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
         index = {u: i for i, u in enumerate(elements)}
         # the Cayley table: every sum of two elements, computed once
         table = [[group.add(u, v) for v in elements] for u in elements]
-
-        def plus(s, t):
-            i, j = index.get(s), index.get(t)
-            if i is None or j is None:  # a sum outside the elements
-                return group.add(s, t)
-            return table[i][j]
-
-        comm = all(
-            plus(u, v) == plus(v, u) for u, v in itertools.combinations(elements, 2)
-        )
-        ident_law = all(plus(u, ident) == u for u in elements)
+        comm = list(map(list, zip(*table))) == table
+        ident_law = [row[index[ident]] for row in table] == elements
         closed = all(s in index for row in table for s in row)
-        assoc = all(
-            plus(plus(u, v), t) == plus(u, plus(v, t))
-            for u, v, t in itertools.product(elements, repeat=3)
-        )
+        if closed:
+            cayley = [[index[s] for s in row] for row in table]
+            assoc = all(
+                cayley[k] == list(map(row.__getitem__, cayley[j]))
+                for row in cayley
+                for j, k in enumerate(row)
+            )
+        else:
+            # the criterion fails already; sums outside the table go to add
+            assoc = all(
+                group.add(group.add(u, v), t) == group.add(u, group.add(v, t))
+                for u, v, t in itertools.product(elements, repeat=3)
+            )
         ok = comm and ident_law and closed and assoc
         claims.append(
             _claim(

@@ -155,6 +155,49 @@ def test_non_associative_law_is_caught(monkeypatch):
     assert bad.detail == "assoc=False comm=True identity=True closed=True"
 
 
+def test_unclosed_table_is_caught(monkeypatch):
+    # a sum that returns the identity as (10)^l, which is not an element
+    from circfib import group
+    from circfib.fibcore import rotate
+
+    add = group.add
+
+    def corrupted(u, v):
+        s = add(u, v)
+        return rotate(s) if s == group.identity(len(s) // 2) else s
+
+    monkeypatch.setattr(verify.group, "add", corrupted)
+    claims = verify.criterion_group_axioms(max_ell=2)
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        ("group axioms ell=1", verify.FAIL, "assoc=True comm=True identity=False closed=False"),
+        ("group axioms ell=2", verify.FAIL, "assoc=True comm=True identity=False closed=False"),
+        ("negation inverses ell=1", verify.FAIL, ""),
+        ("negation inverses ell=2", verify.FAIL, ""),
+    ]
+
+
+def test_non_commutative_law_is_caught(monkeypatch):
+    # a law that differs from add on one ordered pair of elements only
+    from circfib import group
+
+    add = group.add
+    a, b = group.enumerate_elements(2)[:2]
+
+    def corrupted(u, v):
+        if (u, v) == (a, b):
+            return add(add(u, v), a)
+        return add(u, v)
+
+    monkeypatch.setattr(verify.group, "add", corrupted)
+    claims = verify.criterion_group_axioms(max_ell=2)
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        ("group axioms ell=1", verify.PASS, "assoc=True comm=True identity=True closed=True"),
+        ("group axioms ell=2", verify.FAIL, "assoc=False comm=False identity=True closed=True"),
+        ("negation inverses ell=1", verify.PASS, ""),
+        ("negation inverses ell=2", verify.PASS, ""),
+    ]
+
+
 def test_wrong_normal_form_is_caught(monkeypatch):
     # a normalizer that is wrong on one {0,1,2}-word of length 6 only
     from circfib.fibcore import iter_admissible
@@ -175,6 +218,19 @@ def test_wrong_normal_form_is_caught(monkeypatch):
         ("normal-form uniqueness n=4", verify.PASS),
         ("normal-form uniqueness n=6", verify.FAIL),
     ]
+
+
+def test_unbalanced_prefix_is_caught(monkeypatch):
+    # the Fibonacci word with one letter flipped in the middle
+    prefix = verify.fibonacci_word_prefix
+
+    def corrupted(n):
+        w, i = prefix(n), n // 2
+        return w[:i] + ("b" if w[i] == "a" else "a") + w[i + 1:]
+
+    monkeypatch.setattr(verify, "fibonacci_word_prefix", corrupted)
+    (claim,) = verify.criterion_balance()
+    assert claim.status == verify.FAIL
 
 
 def test_wrong_type_is_caught(monkeypatch):
