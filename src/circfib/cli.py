@@ -8,15 +8,19 @@ invocations produce byte-identical output.  Exit codes: 0 success,
 Word arguments use digit strings with index 0 leftmost ("010010"); the
 `demo-base` command works in ordinary most-significant-first notation
 instead, matching everyday decimal writing.
+
+Each command imports the modules it runs inside its own branch of
+`dispatch`: a one-shot start pays for every module it loads, and compiles
+each from source when no bytecode is cached, so `reduce` should not load
+the verification suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import baseb, cache, group, orderq, typology, verify, wheels
+from . import group
 from .errors import CircfibError, ResourceBoundError
 from .fibcore import format_word, parse_word
 from .rewrite import normalize, orbit
@@ -26,6 +30,8 @@ Record = dict[str, str]
 
 def render(records: list[Record], fmt: str) -> str:
     if fmt == "jsonlines":
+        import json
+
         return "\n".join(json.dumps(r, sort_keys=False, separators=(", ", ": ")) for r in records)
     fields = list(records[0].keys()) if records else []
     lines = ["\t".join(fields)]
@@ -114,7 +120,14 @@ def _tree_bits(indices, ell: int) -> str:
     return "".join("1" if i in indices else "0" for i in range(ell))
 
 
+def _bound(value: int | None, default: int) -> int:
+    # an explicit 0 is a bound too, and is refused downstream
+    return default if value is None else value
+
+
 def _cached_records(args, key: str, compute):
+    from . import cache
+
     directory = args.cache_dir or cache.cache_dir_from_env()
     if directory is None:
         return compute()
@@ -126,7 +139,6 @@ def _cached_records(args, key: str, compute):
 
 
 def dispatch(args) -> tuple[list[Record], int]:
-    max_ell = args.max_ell
     if args.command == "reduce":
         w = parse_word(args.word)
         return [{"word": format_word(w), "normal_form": format_word(normalize(w))}], 0
@@ -163,7 +175,7 @@ def dispatch(args) -> tuple[list[Record], int]:
         ], 0
 
     if args.command == "group":
-        bound = max_ell or group.DEFAULT_ENUM_BOUND
+        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
             return [{"ell": str(args.ell), "order": str(len(group.enumerate_elements(args.ell, bound)))}], 0
         if args.list:
@@ -200,7 +212,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         return records, 0
 
     if args.command == "orderq":
-        bound = max_ell or orderq.DEFAULT_P_GROUP_BOUND
+        from . import orderq
+
+        bound = _bound(args.max_ell, orderq.DEFAULT_P_GROUP_BOUND)
         if args.min_length:
             return [{"q": str(args.q), "min_length": str(orderq.minimal_even_length(args.q))}], 0
         if args.pi:
@@ -228,7 +242,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         return records, 0 if report.ok else 1
 
     if args.command == "types":
-        bound = max_ell or group.DEFAULT_ENUM_BOUND
+        from . import typology
+
+        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.partition:
             records = []
             for u in group.enumerate_elements(args.ell, bound):
@@ -253,6 +269,8 @@ def dispatch(args) -> tuple[list[Record], int]:
         )
 
     if args.command == "fibword":
+        from . import typology
+
         blocks = typology.fib_partition(args.ell)
         return [
             {
@@ -265,7 +283,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         ], 0
 
     if args.command == "wheel":
-        bound = max_ell or group.DEFAULT_ENUM_BOUND
+        from . import wheels
+
+        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
             return [
                 {
@@ -335,6 +355,8 @@ def dispatch(args) -> tuple[list[Record], int]:
         return records, 0 if report.ok else 1
 
     if args.command == "demo-base":
+        from . import baseb
+
         report = baseb.verify_cyclic_group(args.base, args.q)
         records = [
             {
@@ -347,7 +369,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         return records, 0 if report.ok else 1
 
     if args.command == "verify":
-        report = verify.run_verify(max_ell or 6, args.max_q or 6)
+        from . import verify
+
+        report = verify.run_verify(_bound(args.max_ell, 6), _bound(args.max_q, 6))
         records = [
             {
                 "criterion": c.criterion,

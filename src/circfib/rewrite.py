@@ -148,9 +148,12 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
     States with any digit above ``digit_cap`` are pruned; by default it is
     one above the larger of 2 and the word's largest digit.  If more than
     ``size_cap`` states are reached the search stops and the result is
-    flagged as truncated (never an exception).
+    flagged as truncated (never an exception); a cap below 1, which could
+    not hold the word itself, is refused.
     """
     w = as_word(word)
+    if size_cap < 1:
+        raise InvalidWordError(f"size cap {size_cap} below 1")
     least_cap = max(2, max(w))
     if digit_cap is None:
         digit_cap = least_cap + 1

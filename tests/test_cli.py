@@ -152,6 +152,33 @@ def test_resource_bound_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group", "--ell", "1", "--count"], "ell=1 exceeds enumeration bound 0"),
+        (["types", "--ell", "1", "--partition"], "ell=1 exceeds enumeration bound 0"),
+        (["wheel", "--ell", "1", "--trees"], "ell=1 exceeds enumeration bound 0"),
+        (["orderq", "--q", "2", "--elements"], "canonical length 6 for q=2 exceeds enumeration bound 2*0"),
+    ],
+)
+def test_zero_max_ell_is_a_bound(capsys, argv, message):
+    assert run_cli(capsys, "--max-ell", "0", *argv) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bound", ["--max-ell", "--max-q"])
+def test_zero_verify_bound_is_refused(capsys, bound):
+    assert run_cli(capsys, bound, "0", "verify") == (
+        2,
+        "",
+        "error: bounds must satisfy max_ell >= 1, max_q >= 2\n",
+    )
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_orbit_cap_below_one_is_refused(capsys, cap):
+    assert run_cli(capsys, "orbit", "11", "--cap", cap) == (2, "", f"error: size cap {cap} below 1\n")
+
+
 def test_cache_round_trip(tmp_path):
     records = [{"element": "0101"}, {"element": "0001"}]
     cache.cache_store(str(tmp_path), "unit:demo", records)

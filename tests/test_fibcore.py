@@ -290,6 +290,8 @@ def test_word_text_syntax():
     assert parse_word("1,0,12") == (1, 0, 12)
     assert format_word((1, 0, 12)) == "1,0,12"
     assert format_word(parse_word("0101")) == "0101"
+    assert format_word((9, 0, 1, 0)) == "9010"  # 9 is the largest contiguous digit
+    assert format_word((10, 0, 1, 0)) == "10,0,1,0"
     with pytest.raises(InvalidWordError):
         parse_word("")
     with pytest.raises(InvalidWordError):
@@ -298,9 +300,13 @@ def test_word_text_syntax():
 
 def test_iter_admissible_counts_are_lucas():
     # cyclic binary words without adjacent ones are counted by the Lucas numbers
-    lucas = {2: 3, 4: 7, 6: 18, 8: 47, 10: 123, 12: 322}
+    lucas = {1: 1, 2: 3, 4: 7, 6: 18, 8: 47, 10: 123, 12: 322}
     for n, expected in lucas.items():
         assert sum(1 for _ in iter_admissible(n)) == expected
+    # at n = 1 position 0 is its own neighbour: only the zero word is left
+    assert list(iter_admissible(1)) == [(0,)]
+    with pytest.raises(InvalidWordError):
+        list(iter_admissible(0))
 
 
 def test_iter_admissible_lex_order():

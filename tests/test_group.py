@@ -229,6 +229,10 @@ def test_group_axioms_exhaustive_small():
 def test_repeat_morphism_examples():
     assert format_word(repeat_morphism(parse_word("01"), 3)) == "010101"
     assert format_word(repeat_morphism(parse_word("0001"), 2)) == "00010001"
+    assert format_word(repeat_morphism(parse_word("1010"), 1)) == "0101"
+    assert format_word(repeat_morphism(parse_word("100100"), 1)) == "100100"
+    with pytest.raises(InvalidWordError):
+        repeat_morphism(parse_word("0001"), 0)
 
 
 def test_repeat_morphism_returns_canonical_elements():

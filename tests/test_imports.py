@@ -1,6 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and a
+one-shot command loads only the modules it runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+CORE = ["circfib", "circfib.cli", "circfib.errors", "circfib.fibcore", "circfib.group", "circfib.rewrite"]
+EVERY = sorted(["circfib", *(f"circfib.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__")])
+FOOTPRINT = """
+import contextlib, io, json, sys
+import circfib.cli
+loaded = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "circfib")
+footprints = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert circfib.cli.main(argv) == 0, argv
+    footprints.append(loaded())
+print(json.dumps(footprints))
+"""
+
+
+def circfib_modules_after(*argvs) -> list[list[str]]:
+    """The circfib modules a fresh interpreter holds after ``import circfib.cli``,
+    then after each command in turn (names only: ``site`` may preload stdlib ones)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_one_shot_arithmetic_loads_only_the_core():
+    footprints = circfib_modules_after(
+        ["reduce", "020111"], ["add", "0101", "1000"], ["neg", "0100"], ["mul", "3", "0100"]
+    )
+    assert footprints == [CORE] * 5
+
+
+def test_verify_loads_every_module_but_the_disk_cache():
+    _, after_verify, after_list = circfib_modules_after(
+        ["--max-ell", "2", "--max-q", "2", "verify"], ["group", "--ell", "1", "--list"]
+    )
+    assert len(EVERY) == 12
+    assert after_verify == [name for name in EVERY if name != "circfib.cache"]
+    assert after_list == EVERY

@@ -138,6 +138,16 @@ def test_orbit_digit_cap_validation():
         orbit(parse_word("0003"), 2)
 
 
+@pytest.mark.parametrize("size_cap", [0, -1])
+def test_orbit_size_cap_validation(size_cap):
+    with pytest.raises(InvalidWordError):
+        orbit(parse_word("11"), 2, size_cap)
+
+
+def test_orbit_size_cap_of_one_keeps_the_word():
+    assert orbit(parse_word("11"), 2, 1) == rewrite.OrbitResult(frozenset({(1, 1)}), True)
+
+
 def test_normalize_examples():
     assert format_word(normalize(parse_word("0002"))) == "0010"
     assert format_word(normalize(parse_word("1111"))) == "0101"
