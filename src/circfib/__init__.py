@@ -20,6 +20,9 @@ The package is organized around plain tuples of nonnegative ints as words:
 * :mod:`circfib.verify` -- verification suites for every quantitative
   claim;
 * :mod:`circfib.cli` -- the command-line front end.
+
+Result records are ``typing.NamedTuple`` classes, not dataclasses: importing
+``dataclasses`` loads ``inspect`` and costs every process about 15 ms.
 """
 
 from .errors import (

@@ -15,25 +15,29 @@ and the final carry wraps to the rightmost digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidWordError
 
 
-@dataclass(frozen=True)
-class BaseBWord:
-    """Fixed-length digit word in base b, most significant digit first."""
-
+class _BaseBWord(NamedTuple):
     digits: tuple[int, ...]
     base: int
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise InvalidWordError(f"base must be > 1, got {self.base}")
-        if len(self.digits) < 1:
+
+class BaseBWord(_BaseBWord):
+    """Fixed-length digit word in base b, most significant digit first."""
+
+    __slots__ = ()
+
+    def __new__(cls, digits: tuple[int, ...], base: int):
+        if base < 2:
+            raise InvalidWordError(f"base must be > 1, got {base}")
+        if len(digits) < 1:
             raise InvalidWordError("word must have length >= 1")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise InvalidWordError(f"digits out of range for base {self.base}: {self.digits}")
+        if any(d < 0 or d >= base for d in digits):
+            raise InvalidWordError(f"digits out of range for base {base}: {digits}")
+        return super().__new__(cls, digits, base)
 
     def __str__(self) -> str:
         if self.base <= 10:
@@ -118,8 +122,7 @@ def period_word(b: int, q: int) -> BaseBWord:
     return word
 
 
-@dataclass(frozen=True)
-class CyclicGroupReport:
+class CyclicGroupReport(NamedTuple):
     """Multiples table of the period word and its verification result."""
 
     multiples: tuple[BaseBWord, ...]

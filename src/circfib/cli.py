@@ -271,7 +271,7 @@ def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "fibword":
         from . import typology
 
-        blocks = typology.fib_partition(args.ell)
+        blocks = typology.fib_partition(args.ell, _bound(args.max_ell, group.DEFAULT_ENUM_BOUND))
         return [
             {
                 "index": str(b.index),

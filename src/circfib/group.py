@@ -15,9 +15,9 @@ its ``cyclic_subgroup`` also serves ``orderq.pi_subgroup_index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 import operator
+from typing import NamedTuple
 
 from .errors import (
     InvalidWordError,
@@ -121,8 +121,7 @@ def predicted_invariant_factors(ell: int) -> tuple[int, int]:
     return (5 * d, d) if ell % 2 == 0 else (d, d)
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     order: int
     invariant_factors: tuple[int, int]
     d: int
@@ -211,8 +210,7 @@ def repeat_morphism(u, n: int) -> Word:
     return canonical(u) * n
 
 
-@dataclass(frozen=True)
-class GcdCheck:
+class GcdCheck(NamedTuple):
     m: int
     n: int
     lhs: int
@@ -223,8 +221,7 @@ class GcdCheck:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class GcdPropertyReport:
+class GcdPropertyReport(NamedTuple):
     pair_checks: tuple[GcdCheck, ...]
     even_index_checks: tuple[GcdCheck, ...]
 

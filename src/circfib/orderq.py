@@ -21,9 +21,9 @@ multiples of their valuations, and rotating P' gives P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
@@ -61,8 +61,7 @@ def pi_words(q: int) -> tuple[Word, Word]:
     return pi, pi_prime
 
 
-@dataclass(frozen=True)
-class PeriodicElement:
+class PeriodicElement(NamedTuple):
     """A group element of order dividing q, at the canonical length."""
 
     word: Word
@@ -138,8 +137,7 @@ def pi_subgroup_index(q: int) -> int:
     return total // span
 
 
-@dataclass(frozen=True)
-class PiMultiplesReport:
+class PiMultiplesReport(NamedTuple):
     """Outcome of the three checks on the distinguished pair for one q."""
 
     pi: Word

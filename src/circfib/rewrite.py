@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     InapplicableMoveError,
@@ -65,17 +65,21 @@ from .errors import (
 from .fibcore import _FIB_CACHE, Word, as_word, fib, zeckendorf
 
 
-@dataclass(frozen=True)
-class Move:
-    """A single rewriting move: rule 'A' or 'B', anchor position, direction."""
-
+class _Move(NamedTuple):
     rule: str
     position: int
     forward: bool = True
 
-    def __post_init__(self):
-        if self.rule not in ("A", "B"):
-            raise InvalidWordError(f"rule must be 'A' or 'B', got {self.rule!r}")
+
+class Move(_Move):
+    """A single rewriting move: rule 'A' or 'B', anchor position, direction."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule: str, position: int, forward: bool = True):
+        if rule not in ("A", "B"):
+            raise InvalidWordError(f"rule must be 'A' or 'B', got {rule!r}")
+        return super().__new__(cls, rule, position, forward)
 
 
 def _consume_produce(move: Move, n: int) -> tuple[tuple, tuple]:
@@ -134,8 +138,7 @@ def apply_move(word, move: Move) -> Word:
     return out
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     """BFS closure of a word under the moves, with a truncation flag."""
 
     words: frozenset[Word]
@@ -283,16 +286,14 @@ def _modulus_pair(n: int) -> tuple[int, int]:
 def _quotient(x: int, y: int, n: int) -> tuple[int, int, int]:
     """(num1, num2, norm), norm > 0, with (x + y*phi) / (phi^n - 1) equal to
     (num1 + num2*phi) / norm exactly."""
-    p, q = _modulus_pair(n)
-    norm = p * p + p * q - q * q
-    if norm == 0:
+    if n < 1:
         raise InvalidWordError(f"degenerate modulus at length {n}")
-    # (x + y*phi) * conj(nu), with conj(p + q*phi) = (p + q) - q*phi
-    num1 = x * (p + q) - y * q
-    num2 = y * p - x * q
-    if norm < 0:
-        return -num1, -num2, -norm
-    return num1, num2, norm
+    p, q = _modulus_pair(n)
+    # Multiply through by -conj(phi^n - 1), with conj(p + q*phi) = (p + q) - q*phi.
+    # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
+    # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
+    # L(n) >= 3 from n = 2 on.  So the returned norm is its negation.
+    return y * q - x * (p + q), x * q - y * p, q * q - p * q - p * p
 
 
 def _iround(p: int, q: int) -> int:

@@ -24,9 +24,9 @@ offset instead of asserting equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InvalidWordError, PartitionError
+from .errors import InvalidWordError, PartitionError, ResourceBoundError
 from .fibcore import Word, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
 from .group import DEFAULT_ENUM_BOUND, canonical, d_value, enumerate_elements, identity, neg
 
@@ -89,8 +89,7 @@ def structural_class(u) -> str:
     return STRUCTURAL_LABELS["even_run_suffix1"]
 
 
-@dataclass(frozen=True)
-class ImageSetComparison:
+class ImageSetComparison(NamedTuple):
     tag: str
     computed: frozenset[int]
     formula: frozenset[int]
@@ -161,15 +160,14 @@ def sigma_relation_check(classes: dict[str, frozenset[Word]]) -> bool:
     return {rotate(w) for w in classes[T10]} == classes[T01]
 
 
-@dataclass(frozen=True)
-class PartitionBlock:
+class PartitionBlock(NamedTuple):
     index: int
     block: str
     a_count: int
     b_count: int
 
 
-def fib_partition(ell: int) -> list[PartitionBlock]:
+def fib_partition(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[PartitionBlock]:
     """Equal-frequency split of 'b' + prefix of the infinite word.
 
     The word of length F(2l-2) + 1 splits into k = d(l) blocks of length
@@ -179,10 +177,13 @@ def fib_partition(ell: int) -> list[PartitionBlock]:
     of the second distinguished word, whose valuation is the constant
     2*a_count + b_count of the blocks.  The transposed split into d(l)-long
     blocks has provably non-constant counts from l = 4 on (at l = 3 both
-    splits work).  Violations raise PartitionError.
+    splits work).  Violations raise PartitionError.  The word grows like
+    phi^(2l), so the bound is checked before it is built.
     """
     if ell <= 2:
         raise InvalidWordError(f"ell must be > 2, got {ell}")
+    if ell > max_ell:
+        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
     total = fib(2 * ell - 2)
     word = "b" + fibonacci_word_prefix(total)
     k = d_value(ell)

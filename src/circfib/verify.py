@@ -11,8 +11,8 @@ status is nonzero iff some claim failed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, StructureMismatchError
@@ -33,17 +33,15 @@ DISCREPANCY = "discrepancy"
 KNOWN_CARDINALITIES = (1, 5, 16, 45, 121, 320)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     criterion: str
     subject: str
     status: str
     detail: str
 
 
-@dataclass
-class VerificationReport:
-    claims: list[Claim] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    claims: list[Claim]
 
     @property
     def failures(self) -> list[Claim]:
@@ -454,17 +452,16 @@ def run_verify(max_ell: int = 6, max_q: int = 6) -> VerificationReport:
     """Run every suite at bounds capped by max_ell and max_q."""
     if max_ell < 1 or max_q < 2:
         raise CircfibError("bounds must satisfy max_ell >= 1, max_q >= 2")
-    report = VerificationReport()
-    report.claims += criterion_cardinalities(max_ell)
-    report.claims += criterion_structure(max_ell)
-    report.claims += criterion_uniqueness(max_ell)
-    report.claims += criterion_group_axioms(max_ell)
-    report.claims += criterion_order_q(max_q)
-    report.claims += criterion_p_group(max_q)
-    report.claims += criterion_gcd()
-    report.claims += criterion_types(max_ell)
-    report.claims += criterion_partition(max_ell)
-    report.claims += criterion_wheels(max_ell)
-    report.claims += criterion_base_b()
-    report.claims += criterion_balance()
-    return report
+    claims = criterion_cardinalities(max_ell)
+    claims += criterion_structure(max_ell)
+    claims += criterion_uniqueness(max_ell)
+    claims += criterion_group_axioms(max_ell)
+    claims += criterion_order_q(max_q)
+    claims += criterion_p_group(max_q)
+    claims += criterion_gcd()
+    claims += criterion_types(max_ell)
+    claims += criterion_partition(max_ell)
+    claims += criterion_wheels(max_ell)
+    claims += criterion_base_b()
+    claims += criterion_balance()
+    return VerificationReport(claims)

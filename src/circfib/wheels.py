@@ -20,8 +20,8 @@ the same scan.  ``tree_add`` normalizes the sum of the two raw words once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, iter_words_binary
@@ -29,8 +29,7 @@ from .group import DEFAULT_ENUM_BOUND, add, enumerate_elements, identity
 from .rewrite import normalize
 
 
-@dataclass(frozen=True)
-class WheelTree:
+class WheelTree(NamedTuple):
     """A spanning tree of the l-wheel, as index sets of spokes and rim edges."""
 
     ell: int
@@ -112,27 +111,19 @@ def count_trees_matrix(ell: int) -> int:
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
-    # Fraction-free Gaussian elimination; exact over the integers.
+    # Fraction-free Gaussian elimination; exact over the integers.  It needs
+    # no pivoting here: the wheel is connected, so its reduced Laplacian is
+    # positive definite, and each pivot a[k][k] is the leading principal
+    # minor of order k + 1 of the input, which is therefore positive.
     n = len(m)
-    if n == 0:
-        return 1
     a = [row[:] for row in m]
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def tree_to_word(tree: WheelTree) -> Word:
@@ -205,8 +196,7 @@ def star_tree(ell: int) -> WheelTree:
     return WheelTree(ell, frozenset(range(ell)), frozenset())
 
 
-@dataclass(frozen=True)
-class IdentityFiberReport:
+class IdentityFiberReport(NamedTuple):
     """Fiber sizes of the tree-word map onto group elements at one l."""
 
     ell: int

@@ -152,6 +152,18 @@ def test_resource_bound_exit_code(capsys):
     assert code == 3
 
 
+def test_fibword_bound(capsys):
+    # the prefix has F(2l-2) letters, so the bound is what keeps a large --ell finite
+    assert run_cli(capsys, "fibword", "--ell", "11", "--partition") == (
+        3,
+        "",
+        "error: ell=11 exceeds enumeration bound 10\n",
+    )
+    code, out, _ = run_cli(capsys, "--max-ell", "11", "fibword", "--ell", "11", "--partition")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 199  # header, then d(11) = 199 blocks
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -159,6 +171,7 @@ def test_resource_bound_exit_code(capsys):
         (["types", "--ell", "1", "--partition"], "ell=1 exceeds enumeration bound 0"),
         (["wheel", "--ell", "1", "--trees"], "ell=1 exceeds enumeration bound 0"),
         (["orderq", "--q", "2", "--elements"], "canonical length 6 for q=2 exceeds enumeration bound 2*0"),
+        (["fibword", "--ell", "3", "--partition"], "ell=3 exceeds enumeration bound 0"),
     ],
 )
 def test_zero_max_ell_is_a_bound(capsys, argv, message):

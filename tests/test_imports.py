@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and a
-one-shot command loads only the modules it runs."""
+"""Every name a module of the package imports is used in that module, a
+one-shot command loads only the modules it runs, and no module loads
+``dataclasses``, whose import pulls in ``inspect``, ``ast`` and ``dis``."""
 
 import ast
 import json
@@ -46,6 +47,38 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_dataclasses(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "dataclasses" not in imported
+
+
+HEAVY = """
+import contextlib, io, json, sys
+heavy = lambda: [name for name in ("dataclasses", "inspect") if name in sys.modules]
+import circfib.cli
+seen = [heavy()]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert circfib.cli.main(["--max-ell", "2", "--max-q", "2", "verify"]) == 0
+seen.append(heavy())
+print(json.dumps(seen))
+"""
+
+
+def test_verify_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site from preloading anything, so whatever is loaded, circfib loaded
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", HEAVY], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [[], []]
 
 
 CORE = ["circfib", "circfib.cli", "circfib.errors", "circfib.fibcore", "circfib.group", "circfib.rewrite"]

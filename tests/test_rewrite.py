@@ -343,6 +343,22 @@ def test_decode_error_names_pair_and_length(monkeypatch):
         rewrite.decode_pair(7, -3, 6)
 
 
+def test_quotient_norm_is_minus_the_norm_of_the_modulus():
+    # N(phi^n - 1) = (-1)^n + 1 - L(n), with L the Lucas numbers, is negative for every n >= 1
+    lucas = [2, 1]
+    while len(lucas) <= 60:
+        lucas.append(lucas[-1] + lucas[-2])
+    for n in range(1, 61):
+        p, q = rewrite._modulus_pair(n)
+        assert rewrite._quotient(1, 0, n) == (-(p + q), q, lucas[n] - 1 - (-1) ** n)
+
+
+@pytest.mark.parametrize("decode, n", [(rewrite.decode_pair, 0), (residue_order, -2)])
+def test_degenerate_modulus_is_refused(decode, n):
+    with pytest.raises(InvalidWordError, match=f"^degenerate modulus at length {n}$"):
+        decode(1, 0, n)
+
+
 def test_equivalent():
     assert equivalent(parse_word("0101"), parse_word("1010"))
     assert equivalent(parse_word("0002"), parse_word("0010"))

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from circfib.errors import InvalidWordError, PartitionError
+from circfib.errors import InvalidWordError, PartitionError, ResourceBoundError
 from circfib.fibcore import fib, parse_word, valuation
 from circfib.group import d_value, enumerate_elements, identity, scalar_mul
 from circfib.orderq import minimal_even_length, pi_words
@@ -142,6 +142,10 @@ def test_fib_partition_block_weight_equals_second_pi_valuation():
 def test_fib_partition_domain():
     with pytest.raises(InvalidWordError):
         fib_partition(2)
+    # the bound comes first: at l = 40 the prefix would hold F(78), about 10^16, letters
+    with pytest.raises(ResourceBoundError, match="ell=40 exceeds enumeration bound 10"):
+        fib_partition(40)
+    assert len(fib_partition(11, max_ell=11)) == d_value(11)
 
 
 @dataclass(frozen=True)

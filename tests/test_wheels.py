@@ -48,6 +48,12 @@ def test_spanning_trees_bound():
 def test_matrix_count_agrees():
     for ell in range(1, 9):
         assert count_trees_matrix(ell) == A004146[ell - 1]
+    # the closed form L(2l) - 2, with L the Lucas numbers, far past enumeration
+    lucas = [2, 1]
+    while len(lucas) <= 120:
+        lucas.append(lucas[-1] + lucas[-2])
+    for ell in range(1, 61):
+        assert count_trees_matrix(ell) == lucas[2 * ell] - 2
 
 
 def test_tree_to_word_examples():
