@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidWordError
+from .errors import InvalidWordError, ResourceBoundError
+
+CYCLIC_GROUP_BOUND = 500
 
 
 class _BaseBWord(NamedTuple):
@@ -134,8 +136,11 @@ def verify_cyclic_group(b: int, q: int) -> CyclicGroupReport:
 
     For i = 1..q, the i-fold circular sum must equal the base-b digits of
     i times the period's value, and the q-th multiple must be the zero
-    class.
+    class.  The work grows like q^2, so a q above CYCLIC_GROUP_BOUND is
+    refused before the O(q) period search.
     """
+    if q > CYCLIC_GROUP_BOUND:
+        raise ResourceBoundError(f"q={q} exceeds demo-base bound {CYCLIC_GROUP_BOUND}")
     period = period_word(b, q)
     n = len(period.digits)
     value = period.value()

@@ -20,7 +20,7 @@ All arithmetic is exact (Python ints).
 from __future__ import annotations
 
 import threading
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from operator import add, eq, sub
 
 from .errors import CapacityError, InvalidWordError
@@ -183,8 +183,7 @@ def iter_words_binary(n: int):
     """Yield all binary words of length n in lexicographic order."""
     if n < 1:
         raise InvalidWordError(f"length must be >= 1, got {n}")
-    for bits in range(1 << n):
-        yield tuple((bits >> (n - 1 - i)) & 1 for i in range(n))
+    yield from product((0, 1), repeat=n)
 
 
 def iter_admissible(n: int):

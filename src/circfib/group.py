@@ -10,7 +10,9 @@ Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
 for odd l.  ``decompose`` certifies this empirically from the elements
 rather than assuming it.  ``certify_factors`` is the one two-generator
 certificate: ``decompose`` (criterion 2) and the order-q criterion call it;
-its ``cyclic_subgroup`` also serves ``orderq.pi_subgroup_index``.
+its ``cyclic_subgroup`` also serves ``orderq.pi_subgroup_index``.  Multiples
+and orders come from the residue in Z[phi] modulo (phi^n - 1), with
+iterated ``add`` as their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .rewrite import (
 )
 
 DEFAULT_ENUM_BOUND = 10
+GCD_CHECK_BOUND = 200
 
 
 def identity(ell: int) -> Word:
@@ -139,14 +142,13 @@ def element_order(u) -> int:
 
 
 def cyclic_subgroup(w: Word) -> set[Word]:
-    """The multiples of the element w, identity included, by iterated ``add``."""
-    ident = identity(len(w) // 2)
-    out = {ident}
-    acc = w
-    while acc != ident:
-        out.add(acc)
-        acc = add(acc, w)
-    return out
+    """The multiples k*w of the element w for 0 <= k < its order.
+
+    Each is decoded from k times w's Z[phi] pair, and k = 0 gives the
+    identity; iterated ``add`` is the oracle in the tests.
+    """
+    x, y = phi_pair(w)
+    return {decode_pair(k * x, k * y, len(w)) for k in range(element_order(w))}
 
 
 def certify_factors(elements: list[Word]) -> tuple[int, int]:
@@ -238,10 +240,12 @@ def gcd_property_report(max_ell: int) -> GcdPropertyReport:
     """Check gcd(d_m, d_n) == d_gcd(m, n) for 2 <= m, n <= max_ell.
 
     Also checks that d at even index 2l equals the classical Fibonacci
-    number f(2l).
+    number f(2l).  Refuses a max_ell above GCD_CHECK_BOUND before any check.
     """
     if max_ell < 2:
         raise InvalidWordError(f"max_ell must be >= 2, got {max_ell}")
+    if max_ell > GCD_CHECK_BOUND:
+        raise ResourceBoundError(f"max_ell={max_ell} exceeds gcd-check bound {GCD_CHECK_BOUND}")
     pairs = tuple(
         GcdCheck(m, n, gcd(d_value(m), d_value(n)), d_value(gcd(m, n)))
         for m in range(2, max_ell + 1)

@@ -16,7 +16,8 @@ tests.
 Two distinguished elements exist at that length: the words P and P' with
 valuations (F(n) - 1) / q and (F(n-1) - 1) / q.  Their group multiples up
 to q coincide positionally with the Zeckendorf words of the integer
-multiples of their valuations, and rotating P' gives P.
+multiples of their valuations, and rotating P' gives P.  The group
+multiples are decoded from the residue, with iterated ``add`` as the oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
 from .group import add, canonical, cyclic_subgroup
-from .rewrite import _modulus_pair, _pair_mul, decode_pair
+from .rewrite import _modulus_pair, _pair_mul, decode_pair, phi_pair
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -158,21 +159,22 @@ class PiMultiplesReport(NamedTuple):
 def multiples_match(w: Word, q: int) -> bool:
     """True iff i*w is the Zeckendorf word of i*valuation(w) for i in 1..q.
 
-    At i = q the multiple of P' is the identity (01)^l while the Zeckendorf
-    word is (10)^l, so both sides are compared in canonical form.
+    For i >= 2, i*w is decoded from i times w's Z[phi] pair; iterated
+    ``add`` is the oracle in the tests.  At i = q the multiple of P' is the
+    identity (01)^l while the Zeckendorf word is (10)^l, so both sides are
+    compared in canonical form.
     """
     n = len(w)
     value = valuation(w)
-    acc = w
+    x, y = phi_pair(w)
     for i in range(1, q + 1):
-        if i > 1:
-            acc = add(acc, w)
         if i * value >= fib(n):
             return False
         target = zeckendorf(i * value, n)
         if not is_admissible(target):
             return False  # linear Zeckendorf form with a wrapping 1..1 pair
-        if acc != canonical(target):
+        multiple = w if i == 1 else decode_pair(i * x, i * y, n)
+        if multiple != canonical(target):
             return False
     return True
 

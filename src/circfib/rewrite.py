@@ -10,8 +10,8 @@ Two families of moves act on a circular word w of length n (indices mod n):
 Backward moves are the exact inverses.  Moves are value shifts guarded by
 nonnegativity, so they apply on the full alphabet of nonnegative ints, not
 just on the binary patterns 110 <-> 001 and 0020 <-> 1001 that they induce
-there.  The moves of a length come from one list (``_moves``) with their
-consumed and produced amounts, applied by one routine (``_apply``) that
+there.  A move's consumed and produced amounts come from one routine
+(``_consume_produce``) and are applied by one routine (``_apply``) that
 ``apply_move`` and the orbit BFS share.
 
 Every nonzero circular word of even length is equivalent, under these
@@ -41,10 +41,10 @@ tests check ``move_classes`` against ``orbit``.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
-which is its k = -1) decodes k times the pair once, and ``residue_order``
-answers order questions with no decoding at all.
-Word-level ``group.add`` (digit sum, then ``normalize``) is their oracle in
-the tests.
+its k = -1), ``group.cyclic_subgroup`` and ``orderq.multiples_match`` decode
+k times the pair once per multiple, and ``residue_order`` answers order
+questions with no decoding.  Iterated word-level ``group.add`` (digit sum,
+then ``normalize``) is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ def _consume_produce(move: Move, n: int) -> tuple[tuple, tuple]:
     return tuple(consume.items()), tuple(produce.items())
 
 
-def _moves(n: int) -> list[tuple[Move, tuple, tuple]]:
-    """(move, consumed, produced) for every move at length n, in
-    (position, rule, direction) order."""
-    return [
-        (move, *_consume_produce(move, n))
-        for k in range(n)
-        for rule in ("A", "B")
-        for move in (Move(rule, k, True), Move(rule, k, False))
-    ]
-
-
 def _apply(w: Word, consume, produce) -> Word | None:
     """The word after the move, or None when a consumed amount is missing."""
     for i, v in consume:
@@ -162,7 +151,13 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
         digit_cap = least_cap + 1
     if digit_cap < least_cap:
         raise InvalidWordError(f"digit cap {digit_cap} below max digit of {w}")
-    moves = [(consume, produce) for _, consume, produce in _moves(len(w))]
+    # every move, in (position, rule, direction) order
+    moves = [
+        _consume_produce(Move(rule, k, forward), len(w))
+        for k in range(len(w))
+        for rule in ("A", "B")
+        for forward in (True, False)
+    ]
     seen = {w}
     queue = deque([w])
     truncated = False
@@ -213,10 +208,8 @@ def move_classes(n: int) -> list[list[Word]]:
     # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
     # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
     # with the ``orbit`` oracle instead.
-    for move, consume, produce in _moves(n):
-        if not move.forward or move.rule != "A":
-            continue
-        eats, makes = dict(consume), dict(produce)
+    for k in range(n):
+        eats, makes = map(dict, _consume_produce(Move("A", k), n))
         # Every word the move applies to without leaving the cap, listed
         # slot by slot: a slot keeps at least what it loses and, after
         # the move, at most the cap.  A slot that both loses and gains
@@ -274,13 +267,9 @@ def phi_pair(word) -> tuple[int, int]:
     return x, y
 
 
-@lru_cache(maxsize=256)
 def _modulus_pair(n: int) -> tuple[int, int]:
-    # phi^n - 1
-    fa, fb = 1, 0
-    for _ in range(n):
-        fa, fb = fb, fa + fb
-    return fa - 1, fb
+    # phi^n - 1, for n >= 1, with phi^n = fib(n-3) + fib(n-2)*phi
+    return fib(n - 3) - 1, fib(n - 2)
 
 
 def _quotient(x: int, y: int, n: int) -> tuple[int, int, int]:
@@ -364,8 +353,8 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     is proven for even n, the only lengths callers pass; a miss raises
     NormalizationError.
     """
+    num1, num2, norm = _quotient(x, y, n)  # refuses n < 1 first
     nu = _modulus_pair(n)
-    num1, num2, norm = _quotient(x, y, n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
     max_value = fib(n) - 1  # fib(n) also grows the cache that ys slices
     ys = _FIB_CACHE[0:n]  # ys[i] == fib(i-2), the y coordinate of phi^i

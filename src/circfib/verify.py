@@ -201,9 +201,9 @@ def criterion_order_q(max_q: int = 10) -> list[Claim]:
         )
         pi, pi_prime = orderq.pi_words(q)
         claims.append(_claim("5", f"rotation q={q}", rotate(pi_prime) == pi))
-        chain_ok = orderq.multiples_match(pi, q) and orderq.multiples_match(pi_prime, q)
-        ident_ok = group.scalar_mul(q, pi) == group.identity(n // 2)
-        claims.append(_claim("5", f"multiples q={q}", chain_ok and ident_ok))
+        # the last multiple checked is q*P = zeckendorf(F(n) - 1, n) = (01)^l, the identity
+        ok = orderq.multiples_match(pi, q) and orderq.multiples_match(pi_prime, q)
+        claims.append(_claim("5", f"multiples q={q}", ok))
     return claims
 
 
@@ -397,23 +397,19 @@ def criterion_wheels(max_ell: int = 8) -> list[Claim]:
             characterization_ok = False
     claims.append(_claim("10", "taxonomy bijective ell<=6", bijective_ok))
     claims.append(_claim("10", "even-zero-block characterization ell<=6", characterization_ok))
-    axioms_ok = True
-    for ell in range(1, min(3, max_ell) + 1):
-        trees = trees_of[ell]
-        star = wheels.star_tree(ell)
-        if not all(wheels.tree_add(t, star) == t for t in trees):
-            axioms_ok = False
-        if not all(
-            wheels.tree_add(t1, t2) == wheels.tree_add(t2, t1)
-            for t1, t2 in itertools.combinations(trees, 2)
-        ):
-            axioms_ok = False
-        table = wheels.taxonomy_table(ell)
-        inverse_ok = all(
-            any(wheels.tree_add(t, s) == star for s in trees) for t in trees
-        )
-        axioms_ok = axioms_ok and inverse_ok and len(table) == len(trees)
-    claims.append(_claim("10", "transported group laws ell<=3", axioms_ok))
+    axioms_ok, detail = True, ""
+    try:
+        for ell in range(1, min(3, max_ell) + 1):
+            trees, star, plus = trees_of[ell], wheels.star_tree(ell), wheels.tree_add
+            axioms_ok = axioms_ok and (
+                len(wheels.taxonomy_table(ell)) == len(trees)
+                and all(plus(t, star) == t for t in trees)
+                and all(plus(a, b) == plus(b, a) for a, b in itertools.combinations(trees, 2))
+                and all(any(plus(t, s) == star for s in trees) for t in trees)
+            )
+    except CircfibError as exc:  # e.g. a taxonomy collision
+        axioms_ok, detail = False, str(exc)
+    claims.append(_claim("10", "transported group laws ell<=3", axioms_ok, detail))
     return claims
 
 

@@ -256,16 +256,18 @@ def test_wrong_type_is_caught(monkeypatch):
 
 
 def test_wrong_last_multiple_is_caught(monkeypatch):
-    # a sum that is right except that it returns the identity as (10)^l,
-    # which only the q-th multiple of the distinguished word reaches
+    # a decoder that is right except that it returns the identity as
+    # (10)^l, which only the q-th multiple of the distinguished word reaches
     from circfib import group, orderq
     from circfib.fibcore import rotate
 
-    def corrupted(u, v):
-        s = group.add(u, v)
-        return rotate(s) if s == group.identity(len(s) // 2) else s
+    decode_pair = orderq.decode_pair
 
-    monkeypatch.setattr(orderq, "add", corrupted)
+    def corrupted(x, y, n):
+        w = decode_pair(x, y, n)
+        return rotate(w) if w == group.identity(n // 2) else w
+
+    monkeypatch.setattr(orderq, "decode_pair", corrupted)
     claims = verify.criterion_partition(max_ell=5)
     multiples = [c for c in claims if c.subject.startswith("multiples increment")]
     assert [c.subject for c in multiples] == [
@@ -293,3 +295,105 @@ def test_wrong_taxonomy_is_caught(monkeypatch):
     assert status["taxonomy bijective ell<=6"] == verify.FAIL
     assert status["even-zero-block characterization ell<=6"] == verify.PASS
     assert status["transported group laws ell<=3"] == verify.PASS
+
+
+def test_taxonomy_collision_is_reported(monkeypatch):
+    # a normalizer that sends a tree word of length 6 to the star's
+    # element: criterion 10 reports the collision as a failed claim
+    from circfib import wheels
+
+    normalize = wheels.normalize
+    star, other = (1,) * 6, (0, 0, 1, 1, 1, 1)
+    assert wheels.is_tree_word(other)
+
+    def corrupted(w):
+        return normalize(star if w == other else w)
+
+    wheels.taxonomy_table.cache_clear()  # tables built by the right normalizer
+    monkeypatch.setattr(wheels, "normalize", corrupted)
+    try:
+        claims = verify.criterion_wheels(max_ell=4)
+        report = verify.run_verify(max_ell=4, max_q=2)
+    finally:
+        wheels.taxonomy_table.cache_clear()  # tables built by the wrong one
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        ("tree counts ell=1", verify.PASS, "backtracking 1, determinant 1, group order 1"),
+        ("tree counts ell=2", verify.PASS, "backtracking 5, determinant 5, group order 5"),
+        ("tree counts ell=3", verify.PASS, "backtracking 16, determinant 16, group order 16"),
+        ("tree counts ell=4", verify.PASS, "backtracking 45, determinant 45, group order 45"),
+        ("taxonomy bijective ell<=6", verify.FAIL, ""),
+        ("even-zero-block characterization ell<=6", verify.PASS, ""),
+        (
+            "transported group laws ell<=3",
+            verify.FAIL,
+            "taxonomy collision at ell=3: "
+            "WheelTree(ell=3, spokes=frozenset({0, 1, 2}), rims=frozenset()) and "
+            "WheelTree(ell=3, spokes=frozenset({1, 2}), rims=frozenset({0}))",
+        ),
+    ]
+    assert report.exit_code() == 1
+    assert [c.subject for c in report.failures] == [
+        "taxonomy bijective ell<=6",
+        "transported group laws ell<=3",
+    ]
+
+
+def test_failed_partition_is_reported(monkeypatch):
+    # a partition routine that raises at ell = 4 only
+    from circfib import typology
+    from circfib.errors import PartitionError
+
+    fib_partition = typology.fib_partition
+
+    def corrupted(ell, *args):
+        if ell == 4:
+            raise PartitionError("boom")
+        return fib_partition(ell, *args)
+
+    monkeypatch.setattr(typology, "fib_partition", corrupted)
+    claims = verify.criterion_partition(max_ell=5)
+    bad = [(c.subject, c.status, c.detail) for c in claims if c.status != verify.PASS]
+    assert bad == [("balanced partition ell=4", verify.FAIL, "boom")]
+
+
+def test_failed_order_q_certificate_is_reported(monkeypatch):
+    # a certificate that finds no second generator for the q = 3 group
+    from circfib import group
+    from circfib.errors import StructureMismatchError
+
+    certify_factors = group.certify_factors
+
+    def corrupted(elements):
+        if len(elements) == 9:
+            raise StructureMismatchError("no second generator")
+        return certify_factors(elements)
+
+    monkeypatch.setattr(group, "certify_factors", corrupted)
+    claims = verify.criterion_p_group(max_q=4)
+    bad = [(c.subject, c.status, c.detail) for c in claims if c.status != verify.PASS]
+    assert bad == [
+        ("order-q group q=3", verify.FAIL, "size 9 (want 9), certified=False: no second generator"),
+    ]
+
+
+def test_wrong_binary_sum_is_caught(monkeypatch):
+    # a base-b sum that is wrong on one pair of length-3 binary words
+    from circfib import baseb
+
+    circ_add = baseb.circ_add_base_b
+    one = baseb.word_from_value(1, 2, 3)
+
+    def corrupted(u, v):
+        s = circ_add(u, v)
+        return baseb.word_from_value(3, 2, 3) if u == v == one else s
+
+    monkeypatch.setattr(baseb, "circ_add_base_b", corrupted)
+    claims = verify.criterion_base_b()
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        (
+            "decimal period 1/7 table",
+            verify.PASS,
+            "142857 285714 428571 571428 714285 857142 000000",
+        ),
+        ("binary value map is isomorphism n<=4", verify.FAIL, ""),
+    ]

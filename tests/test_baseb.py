@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from circfib import baseb
 from circfib.baseb import (
     BaseBWord,
     circ_add_base_b,
@@ -10,7 +11,7 @@ from circfib.baseb import (
     verify_cyclic_group,
     word_from_value,
 )
-from circfib.errors import InvalidWordError
+from circfib.errors import InvalidWordError, ResourceBoundError
 
 
 def parse_base_b(text: str, base: int) -> BaseBWord:
@@ -77,6 +78,18 @@ def test_verify_cyclic_group_edge_cases():
     report = verify_cyclic_group(10, 3)
     assert report.ok
     assert [str(m) for m in report.multiples] == ["3", "6", "0"]
+
+
+def test_verify_cyclic_group_bound_comes_before_the_period(monkeypatch):
+    # the period search is itself O(q), so the bound must come first
+    def no_period(b, q):
+        raise AssertionError(f"searched the period of 1/{q}")
+
+    monkeypatch.setattr(baseb, "period_word", no_period)
+    with pytest.raises(ResourceBoundError, match="^q=501 exceeds demo-base bound 500$"):
+        verify_cyclic_group(10, 501)
+    monkeypatch.undo()
+    assert verify_cyclic_group(3, 500).ok  # q at the bound is accepted
 
 
 def _canonical_class(word: BaseBWord) -> BaseBWord:

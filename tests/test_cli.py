@@ -130,6 +130,26 @@ def test_gcd_check(capsys):
     assert all(r["status"] == "pass" for r in parse_records(out, "tsv"))
 
 
+def test_gcd_check_bound(capsys):
+    # the report holds (max - 1)^2 pair checks
+    code, out, _ = run_cli(capsys, "gcd-check", "--max", "200")
+    assert code == 0 and len(parse_records(out, "tsv")) == 199 * 200 // 2 + 100
+    assert run_cli(capsys, "gcd-check", "--max", "201") == (
+        3,
+        "",
+        "error: max_ell=201 exceeds gcd-check bound 200\n",
+    )
+
+
+def test_demo_base_bound(capsys):
+    for q in ("501", "100003"):
+        assert run_cli(capsys, "demo-base", "--base", "10", "--q", q) == (
+            3,
+            "",
+            f"error: q={q} exceeds demo-base bound 500\n",
+        )
+
+
 def test_verify_small_bounds(capsys):
     code, out, _ = run_cli(capsys, "--max-ell", "2", "--max-q", "2", "verify")
     assert code == 0

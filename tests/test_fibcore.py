@@ -17,6 +17,7 @@ from circfib.fibcore import (
     format_word,
     is_admissible,
     iter_admissible,
+    iter_words_binary,
     letter_counts,
     parse_word,
     rotate,
@@ -313,3 +314,14 @@ def test_iter_admissible_lex_order():
     words = list(iter_admissible(6))
     assert words == sorted(words)
     assert all(is_admissible(w) for w in words)
+
+
+def test_iter_words_binary_order():
+    # every binary word once, counting up in binary read left to right
+    for n in (1, 2, 5):
+        words = list(iter_words_binary(n))
+        assert words == [
+            tuple(int(c) for c in format(v, f"0{n}b")) for v in range(2**n)
+        ]
+    with pytest.raises(InvalidWordError):
+        list(iter_words_binary(0))

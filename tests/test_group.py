@@ -15,6 +15,7 @@ from circfib.group import (
     add,
     canonical,
     certify_factors,
+    cyclic_subgroup,
     d_value,
     decompose,
     element_order,
@@ -207,6 +208,22 @@ def test_element_order_matches_iterated_add():
             assert element_order(u) == expected, u
 
 
+def test_cyclic_subgroup_matches_iterated_add():
+    # the exponent is a multiple of every order, so these multiples by
+    # iterated add cover each cyclic subgroup
+    for ell in range(1, 6):
+        e = predicted_invariant_factors(ell)[0]
+        for u in enumerate_elements(ell):
+            assert cyclic_subgroup(u) == set(_multiples_by_add(u, e)), u
+
+
+def test_cyclic_subgroup_refuses_non_elements():
+    with pytest.raises(InvalidWordError, match="not an admissible"):
+        cyclic_subgroup((1, 1, 0, 0))
+    with pytest.raises(ZeroWordError):
+        cyclic_subgroup((0, 0, 0, 0))
+
+
 def test_element_orders_divide_exponent():
     for ell in (2, 3, 4):
         exponent = predicted_invariant_factors(ell)[0]
@@ -265,6 +282,9 @@ def test_gcd_property_report():
     assert any(c.m == 6 and c.lhs == 8 and c.rhs == 8 for c in report.even_index_checks)
     with pytest.raises(InvalidWordError):
         gcd_property_report(1)
+    assert gcd_property_report(200).ok
+    with pytest.raises(ResourceBoundError, match="^max_ell=201 exceeds gcd-check bound 200$"):
+        gcd_property_report(201)
 
 
 # Type and message of each public operation on each malformed input, pinned

@@ -4,11 +4,20 @@ import pytest
 
 from circfib import orderq
 from circfib.errors import InvalidWordError, ResourceBoundError
-from circfib.fibcore import format_word, is_admissible, parse_word, rotate, valuation
-from circfib.group import add, d_value, enumerate_elements, identity, scalar_mul
+from circfib.fibcore import (
+    fib,
+    format_word,
+    is_admissible,
+    parse_word,
+    rotate,
+    valuation,
+    zeckendorf,
+)
+from circfib.group import add, canonical, d_value, enumerate_elements, identity, scalar_mul
 from circfib.rewrite import phi_pair, residue_order
 from circfib.orderq import (
     minimal_even_length,
+    multiples_match,
     oplus,
     p_group,
     pi_subgroup_index,
@@ -58,6 +67,32 @@ def test_verify_pi_multiples_small_q():
         assert report.rotation_match, q
         assert set(report.satisfiers) == {report.pi, report.pi_prime}, q
         assert report.ok
+
+
+def multiples_match_by_add(w, q):
+    # i*w by iterated word-level add, the oracle for the residue route
+    n = len(w)
+    value = valuation(w)
+    acc = w
+    for i in range(1, q + 1):
+        if i > 1:
+            acc = add(acc, w)
+        if i * value >= fib(n):
+            return False
+        target = zeckendorf(i * value, n)
+        if not is_admissible(target) or acc != canonical(target):
+            return False
+    return True
+
+
+def test_multiples_match_matches_iterated_add():
+    for q in range(2, 7):
+        outcomes = {}
+        for e in p_group(q):
+            outcomes[e.word] = multiples_match(e.word, q)
+            assert outcomes[e.word] == multiples_match_by_add(e.word, q), (q, e.word)
+        # both outcomes occur: the distinguished pair matches, others do not
+        assert {w for w, ok in outcomes.items() if ok} == set(pi_words(q)), q
 
 
 def test_pi_multiples_chain_values():

@@ -33,11 +33,18 @@ from circfib.verify import uniqueness_scan
 
 
 def applicable_moves(word):
-    """All moves (both rules, both directions) that apply to the word."""
+    """All moves (both rules, both directions) that apply to the word, in
+    (position, rule, direction) order."""
     w = as_word(word)
+    moves = (
+        Move(rule, k, forward)
+        for k in range(len(w))
+        for rule in ("A", "B")
+        for forward in (True, False)
+    )
     return [
-        move for move, consume, produce in rewrite._moves(len(w))
-        if rewrite._apply(w, consume, produce) is not None
+        move for move in moves
+        if rewrite._apply(w, *rewrite._consume_produce(move, len(w))) is not None
     ]
 
 
@@ -341,6 +348,13 @@ def test_decode_error_names_pair_and_length(monkeypatch):
     monkeypatch.setattr(rewrite, "_OFFSETS", [])
     with pytest.raises(NormalizationError, match=r"length 6 .*\(7, -3\)"):
         rewrite.decode_pair(7, -3, 6)
+
+
+def test_modulus_pair_is_phi_power_minus_one():
+    power = (1, 0)  # phi^0
+    for n in range(1, 61):
+        power = rewrite._pair_mul(power, (0, 1))
+        assert rewrite._modulus_pair(n) == (power[0] - 1, power[1]), n
 
 
 def test_quotient_norm_is_minus_the_norm_of_the_modulus():
