@@ -170,13 +170,22 @@ def letter_counts(letters: str) -> tuple[int, int]:
 
 def check_balanced(letters: str, window: int) -> bool:
     """True iff all length-``window`` factors have a-counts within 1."""
-    if window < 1 or window > len(letters):
-        raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
+    return _balanced_windows(letters, (window,))
+
+
+def _balanced_windows(letters: str, windows) -> bool:
+    """``check_balanced`` at each window in turn, stopping at the first
+    unbalanced one, with one prefix-sum list for them all."""
     # prefix[i] is the a-count of letters[:i]; each factor's count is a
     # difference of two prefix sums, and only the distinct counts matter
     prefix = list(accumulate(map(eq, letters, repeat("a")), initial=0))
-    counts = set(map(sub, prefix[window:], prefix))
-    return max(counts) - min(counts) <= 1
+    for window in windows:
+        if window < 1 or window > len(letters):
+            raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
+        counts = set(map(sub, prefix[window:], prefix))
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
 
 
 def iter_words_binary(n: int):

@@ -22,22 +22,25 @@ identified; (01)^l is the canonical representative.
 ``orbit`` explores the class of one word by breadth-first search over
 both directions; it serves ``circfib orbit`` and is the reference oracle in
 the tests.  ``move_classes`` partitions all {0,1,2}-words of a length at
-once, by one union-find over the forward rule A moves at digit cap 3 (a
-backward move is the inverse of a forward one, and at that cap a rule B
-move is a composition of two rule A moves, so the classes are the same).
+once, by breadth-first searches on sets of base-4 codes held as int
+bitsets, stepping through the rule A moves both ways at digit cap 3 (at
+that cap a rule B move is a composition of two rule A moves, so the
+classes are the same), with one search per rotation orbit of classes.
 ``normalize`` is the production normalizer and has one route: validate the
 word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
 reconstruct the admissible representative of that pair's residue modulo
 (phi^n - 1) by a search over the 25 lattice offsets that a written bound
 allows around the quotient.  Each offset's candidate is the greedy
 Zeckendorf word of its valuation, checked by one sum for its y coordinate
-(the valuation then fixes x; the proof is next to the window proof).  The
-public entry points validate once: ``normalize`` and ``equivalent`` call
-``as_word`` and pass the tuple to ``_normalize_word``, which
-``group.add`` also calls on its digit sum.  The routes are independent;
-``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
-``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
-tests check ``move_classes`` against ``orbit``.
+(the valuation then fixes x; the proof is next to the window proof).  What
+the decoder reads at a length is one small cached record,
+``_length_table``.  The public entry points validate once: ``normalize``
+and ``equivalent`` call ``as_word`` and pass the tuple to
+``_normalize_word``, which ``group.add`` also calls on its digit sum.  The
+routes are independent; ``verify.uniqueness_scan`` (criterion 3) checks the
+normalizer against ``move_classes`` over every {0,1,2}-word at lengths 4, 6
+and 8, and the tests check ``move_classes`` against ``orbit`` and against a
+union-find over the same moves.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
@@ -51,9 +54,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import mul
+from operator import or_
 from typing import NamedTuple
 
 from .errors import (
@@ -182,22 +185,26 @@ def move_classes(n: int) -> list[list[Word]]:
 
     Two words share a class when moves connect them through words with
     digits at most 3, the digit cap at which ``orbit`` explores the same
-    classes.  One union-find over the 4^n such words, coded in base 4,
-    joins each word to its image under every forward rule A move: a
-    backward move is the inverse of a forward one, and a rule B move within
-    the cap is two rule A moves within the cap (see below), so these edges
-    alone give the same connectivity.  Classes come in the lexicographic
-    order of their first members, and members in lexicographic order.
+    classes.  Words are coded in base 4 with the first digit most
+    significant, so code order is lexicographic order, and a set of codes
+    is an int with bit c set for each code c in it.  A breadth-first search
+    from one seed steps through the forward rule A moves and their inverses
+    on whole sets at once: a backward move is the inverse of a forward one,
+    and a rule B move within the cap is two rule A moves within the cap (see
+    below), so these steps alone give the same connectivity.  Classes come
+    in the lexicographic order of their first members, and members in
+    lexicographic order.
     """
     cap = 3
     base = cap + 1
-    places = [base**i for i in range(n)]
-    parent = list(range(base**n))
+    places = [base ** (n - 1 - i) for i in range(n)]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
+    def box(ranges) -> int:
+        # the set of codes whose digit at each slot lies in that slot's range
+        codes = 1
+        for place, digits in zip(places, ranges):
+            codes = reduce(or_, [codes << d * place for d in digits])
+        return codes
 
     # Rule B is not needed.  For n >= 4, where k-2, k-1, k and k+1 are
     # distinct, forward B at k (w[k] -= 2, w[k-2] += 1, w[k+1] += 1) equals
@@ -208,33 +215,58 @@ def move_classes(n: int) -> list[list[Word]]:
     # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
     # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
     # with the ``orbit`` oracle instead.
+    steps = []  # (codes the step applies to, code shift)
     for k in range(n):
         eats, makes = map(dict, _consume_produce(Move("A", k), n))
-        # Every word the move applies to without leaving the cap, listed
-        # slot by slot: a slot keeps at least what it loses and, after
-        # the move, at most the cap.  A slot that both loses and gains
-        # (short lengths) is bounded by both.
-        states = [0]
-        delta = 0
-        for i, place in enumerate(places):
-            lose, gain = eats.get(i, 0), makes.get(i, 0)
-            delta += (gain - lose) * place
-            digits = range(lose, min(base, base + lose - gain))
-            states = [s + d * place for s in states for d in digits]
-        # find() written out for both ends: this loop runs once per edge
-        for a in states:
-            b = a + delta
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-    classes: dict[int, list[Word]] = {}
-    for w in itertools.product(range(cap), repeat=n):
-        if any(w):
-            classes.setdefault(find(sum(map(mul, w, places))), []).append(w)
-    return list(classes.values())
+        # A slot keeps at least what it loses and, after the move, at most
+        # the cap; a slot that both loses and gains (short lengths) is
+        # bounded by both.
+        lose_gain = [(eats.get(i, 0), makes.get(i, 0)) for i in range(n)]
+        mask = box(range(lose, min(base, base + lose - gain)) for lose, gain in lose_gain)
+        delta = sum((gain - lose) * place for (lose, gain), place in zip(lose_gain, places))
+        steps += (mask, delta), (_shift(mask, delta), -delta)
+    small = box([range(cap)] * n)
+    codes = _bits(small)
+    # Rotating a class gives a class: the moves at k+1 are those at k with
+    # the word rotated, and the cap holds digit by digit.  So one search
+    # serves a whole rotation orbit of classes.
+    top = places[0]
+    classes, done = [], set()
+    for seed in codes[1:]:  # codes[0] is the zero word
+        if seed in done:
+            continue
+        seen = frontier = 1 << seed
+        while frontier:
+            reached = 0
+            for mask, delta in steps:
+                reached |= _shift(frontier & mask, delta)
+            frontier = reached & ~seen
+            seen |= frontier
+        members = _bits(seen & small)
+        for _ in range(n):
+            if members[0] not in done:
+                done.update(members)
+                classes.append(members)
+            # the class rotated one slot, w -> w[1:] + w[:1]
+            members = sorted(c % top * base + c // top for c in members)
+    word_of = dict(zip(codes, itertools.product(range(cap), repeat=n)))
+    return [[word_of[c] for c in members] for members in sorted(classes)]
+
+
+def _shift(codes: int, delta: int) -> int:
+    """The set of codes each moved by delta."""
+    return codes << delta if delta >= 0 else codes >> -delta
+
+
+def _bits(codes: int) -> list[int]:
+    """The codes in a set, in increasing order."""
+    text = bin(codes)[:1:-1]  # text[c] is bit c
+    out = []
+    c = text.find("1")
+    while c >= 0:
+        out.append(c)
+        c = text.find("1", c + 1)
+    return out
 
 
 # --- class invariant in Z[phi] -------------------------------------------
@@ -267,22 +299,33 @@ def phi_pair(word) -> tuple[int, int]:
     return x, y
 
 
+@lru_cache(maxsize=64)
+def _length_table(n: int) -> tuple:
+    """What decoding at length n reads: (p, q, norm, max_value, ys) with
+    phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``,
+    max_value = fib(n) - 1 the largest valuation of n digits, and
+    ys[i] = fib(i-2) the y coordinate of phi^i."""
+    if n < 1:
+        raise InvalidWordError(f"degenerate modulus at length {n}")
+    p, q = fib(n - 3) - 1, fib(n - 2)  # phi^n = fib(n-3) + fib(n-2)*phi
+    # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
+    # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
+    # L(n) >= 3 from n = 2 on.  So the denominator is its negation.
+    max_value = fib(n) - 1  # fib(n) also grows the cache that ys slices
+    return p, q, q * q - p * q - p * p, max_value, tuple(_FIB_CACHE[0:n])
+
+
 def _modulus_pair(n: int) -> tuple[int, int]:
-    # phi^n - 1, for n >= 1, with phi^n = fib(n-3) + fib(n-2)*phi
-    return fib(n - 3) - 1, fib(n - 2)
+    """phi^n - 1 as the pair (p, q), for n >= 1."""
+    return _length_table(n)[:2]
 
 
 def _quotient(x: int, y: int, n: int) -> tuple[int, int, int]:
     """(num1, num2, norm), norm > 0, with (x + y*phi) / (phi^n - 1) equal to
     (num1 + num2*phi) / norm exactly."""
-    if n < 1:
-        raise InvalidWordError(f"degenerate modulus at length {n}")
-    p, q = _modulus_pair(n)
+    p, q, norm = _length_table(n)[:3]
     # Multiply through by -conj(phi^n - 1), with conj(p + q*phi) = (p + q) - q*phi.
-    # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
-    # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
-    # L(n) >= 3 from n = 2 on.  So the returned norm is its negation.
-    return y * q - x * (p + q), x * q - y * p, q * q - p * q - p * p
+    return y * q - x * (p + q), x * q - y * p, norm
 
 
 def _iround(p: int, q: int) -> int:
@@ -354,13 +397,11 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     NormalizationError.
     """
     num1, num2, norm = _quotient(x, y, n)  # refuses n < 1 first
-    nu = _modulus_pair(n)
+    p, q, _, max_value, ys = _length_table(n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
-    max_value = fib(n) - 1  # fib(n) also grows the cache that ys slices
-    ys = _FIB_CACHE[0:n]  # ys[i] == fib(i-2), the y coordinate of phi^i
     for c1, c2 in _OFFSETS:
-        sx, sy = _pair_mul((q1 + c1, q2 + c2), nu)
-        ax, ay = x - sx, y - sy
+        a, b = q1 + c1, q2 + c2  # the shift (a + b*phi) * (p + q*phi)
+        ax, ay = x - (a * p + b * q), y - (a * q + b * (p + q))
         value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
         if value < 1 or value > max_value:
             continue

@@ -17,9 +17,9 @@ from typing import NamedTuple
 from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, StructureMismatchError
 from .fibcore import (
+    _balanced_windows,
     _is_admissible,
     alternating_word,
-    check_balanced,
     fibonacci_word_prefix,
     is_admissible,
     rotate,
@@ -88,8 +88,8 @@ def criterion_structure(max_ell: int = 7) -> list[Claim]:
 def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     """Partition nonzero {0,1,2}-words of length n into move components.
 
-    The components are ``rewrite.move_classes(n)``: one union-find over the
-    forward moves at digit cap 3.  Returns (component count,
+    The components are ``rewrite.move_classes(n)``: breadth-first searches
+    over the rule A moves at digit cap 3.  Returns (component count,
     identity-pair component count, all_ok) where all_ok requires every
     component to hold exactly one admissible word (two alternating ones for
     the identity component) and ``normalize`` to return it for every
@@ -440,7 +440,7 @@ def criterion_base_b() -> list[Claim]:
 def criterion_balance() -> list[Claim]:
     """Factor balance of the length-10000 prefix for window sizes up to 50."""
     word = fibonacci_word_prefix(10000)
-    ok = all(check_balanced(word, window) for window in range(1, 51))
+    ok = _balanced_windows(word, range(1, 51))
     return [_claim("12", "balanced property windows 1..50", ok)]
 
 

@@ -9,6 +9,7 @@ dropped.  All checks are exact integer equalities.
 import time
 
 from circfib import verify
+from circfib.fibcore import is_admissible
 
 
 def _drive(name, claims):
@@ -218,6 +219,39 @@ def test_wrong_normal_form_is_caught(monkeypatch):
         ("normal-form uniqueness n=4", verify.PASS),
         ("normal-form uniqueness n=6", verify.FAIL),
     ]
+
+
+def test_merged_move_classes_are_caught(monkeypatch):
+    # a partition that puts the first two classes together: one class with
+    # two admissible words, neither of them the identity pair
+    move_classes = verify.move_classes
+
+    def merged(n):
+        first, second, *rest = move_classes(n)
+        return [sorted(first + second), *rest]
+
+    monkeypatch.setattr(verify, "move_classes", merged)
+    for n in (4, 6, 8):
+        assert verify.uniqueness_scan(n) == (1, 0, False)
+    claims = verify.criterion_uniqueness()
+    assert [(c.status, c.detail) for c in claims] == [
+        (verify.FAIL, "1 components, 0 identity component(s)")
+    ] * 3
+
+
+def test_split_move_class_is_caught(monkeypatch):
+    # a partition that splits the last class into its admissible words (the
+    # identity pair at n = 4 and 6) and the rest, which then holds none
+    move_classes = verify.move_classes
+
+    def split(n):
+        *classes, last = move_classes(n)
+        admissible = [w for w in last if is_admissible(w)]
+        return [*classes, admissible, [w for w in last if w not in admissible]]
+
+    monkeypatch.setattr(verify, "move_classes", split)
+    for n, expected in ((4, (6, 1, False)), (6, (17, 1, False)), (8, (46, 1, False))):
+        assert verify.uniqueness_scan(n) == expected
 
 
 def test_unbalanced_prefix_is_caught(monkeypatch):

@@ -286,6 +286,18 @@ def test_check_balanced_matches_sliding_count(letters, window):
             check_balanced(letters, window)
 
 
+@given(st.text(alphabet="ab", max_size=60), st.integers(min_value=0, max_value=62))
+@example("", 1)
+@example("aabbaa", 6)
+def test_balanced_windows_match_one_check_per_window(letters, k):
+    # the windows 1..k from one prefix-sum list, stopping where check_balanced
+    # first fails or raises
+    windows = range(1, k + 1)
+    assert _outcome(lambda s: fibcore._balanced_windows(s, windows), letters) == _outcome(
+        lambda s: all(check_balanced(s, w) for w in windows), letters
+    )
+
+
 def test_word_text_syntax():
     assert parse_word("010010") == (0, 1, 0, 0, 1, 0)
     assert parse_word("1,0,12") == (1, 0, 12)

@@ -219,6 +219,56 @@ def test_move_classes_match_orbit_oracle(n):
     assert firsts == sorted(firsts)
 
 
+def _move_classes_by_union_find(n):
+    """The partition ``move_classes`` gave before its bitset search: one
+    union-find over the base-4 codes of the words with digits at most 3,
+    joining each word to its image under every forward rule A move."""
+    cap = 3
+    base = cap + 1
+    places = [base**i for i in range(n)]
+    parent = list(range(base**n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for k in range(n):
+        eats, makes = map(dict, rewrite._consume_produce(Move("A", k), n))
+        states = [0]
+        delta = 0
+        for i, place in enumerate(places):
+            lose, gain = eats.get(i, 0), makes.get(i, 0)
+            delta += (gain - lose) * place
+            digits = range(lose, min(base, base + lose - gain))
+            states = [s + d * place for s in states for d in digits]
+        for a in states:
+            ra, rb = find(a), find(a + delta)
+            if ra != rb:
+                parent[ra] = rb
+    classes = {}
+    for w in itertools.product(range(cap), repeat=n):
+        if any(w):
+            classes.setdefault(find(sum(d * p for d, p in zip(w, places))), []).append(w)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_move_classes_match_union_find_oracle(n):
+    # the same classes in the same order, members in the same order
+    assert move_classes(n) == _move_classes_by_union_find(n)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_rotated_move_class_is_a_move_class(n):
+    classes = {frozenset(c) for c in move_classes(n)}
+    for c in classes:
+        rotated = c
+        for _ in range(n):
+            rotated = frozenset(w[-1:] + w[:-1] for w in rotated)
+            assert rotated in classes
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_rule_b_is_two_rule_a_moves(n):
     # the lemma behind move_classes using rule A only: within digit cap 3,
@@ -365,6 +415,23 @@ def test_quotient_norm_is_minus_the_norm_of_the_modulus():
     for n in range(1, 61):
         p, q = rewrite._modulus_pair(n)
         assert rewrite._quotient(1, 0, n) == (-(p + q), q, lucas[n] - 1 - (-1) ** n)
+
+
+def test_decode_at_more_lengths_than_the_record_cache_holds():
+    # every even length from 2 to 200 evicts the early per-length records
+    # before length 8 is decoded again
+    lengths = [*range(2, 201, 2), 8]
+    assert len(set(lengths)) > rewrite._length_table.cache_info().maxsize
+    decoded = []
+    for n in lengths:
+        x, y = phi_pair(i * i % 5 for i in range(n))
+        got = rewrite.decode_pair(x, y, n)
+        assert is_admissible(got), n
+        rx, ry = phi_pair(got)
+        num1, num2, norm = rewrite._quotient(x - rx, y - ry, n)
+        assert num1 % norm == 0 and num2 % norm == 0, n
+        decoded.append(got)
+    assert decoded[-1] == decoded[lengths.index(8)]
 
 
 @pytest.mark.parametrize("decode, n", [(rewrite.decode_pair, 0), (residue_order, -2)])
