@@ -13,6 +13,10 @@ Each command imports the modules it runs inside its own branch of
 `dispatch`: a one-shot start pays for every module it loads, and compiles
 each from source when no bytecode is cached, so `reduce` should not load
 the verification suite.
+
+The records that `dispatch` returns hold values (words, ints, bools,
+strings, base-b words); `_text`, which `render` and the disk-cache store
+use, is the one place where a value becomes text.
 """
 
 from __future__ import annotations
@@ -25,17 +29,29 @@ from .errors import CircfibError, ResourceBoundError
 from .fibcore import format_word, parse_word
 from .rewrite import normalize, orbit
 
-Record = dict[str, str]
+Record = dict[str, object]
+
+
+def _text(value) -> str:
+    """The one rule for printing a record value: a plain tuple is a word, a
+    bool is a check status, anything else (ints, BaseBWord) its str."""
+    kind = type(value)
+    if kind is str:  # first, because cached records are all text
+        return value
+    if kind is tuple:
+        return format_word(value)
+    if kind is bool:
+        return "pass" if value else "fail"
+    return str(value)
 
 
 def render(records: list[Record], fmt: str) -> str:
     if fmt == "jsonlines":
         import json
 
-        return "\n".join(json.dumps(r, sort_keys=False, separators=(", ", ": ")) for r in records)
-    fields = list(records[0].keys()) if records else []
-    lines = ["\t".join(fields)]
-    lines += ["\t".join(r[f] for f in fields) for r in records]
+        return "\n".join(json.dumps({k: _text(v) for k, v in r.items()}) for r in records)
+    lines = ["\t".join(records[0]) if records else ""]
+    lines += ["\t".join(map(_text, r.values())) for r in records]
     return "\n".join(lines)
 
 
@@ -116,8 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tree_bits(indices, ell: int) -> str:
-    return "".join("1" if i in indices else "0" for i in range(ell))
+def _tree_bits(t, ell: int) -> Record:
+    """The spoke and rim sets of a spanning tree as 0/1 strings over the l indices."""
+    return {
+        "spokes": "".join("1" if i in t.spokes else "0" for i in range(ell)),
+        "rims": "".join("1" if i in t.rims else "0" for i in range(ell)),
+    }
 
 
 def _bound(value: int | None, default: int) -> int:
@@ -125,15 +145,19 @@ def _bound(value: int | None, default: int) -> int:
     return default if value is None else value
 
 
-def _cached_records(args, key: str, compute):
+def _cached_records(args, bound: int, name: str, compute):
+    """The records of an ell-keyed table, read from the disk cache when one
+    is set.  The bound is refused first, whatever the cache holds."""
     from . import cache
 
+    group.check_enum_bound(args.ell, bound)
     directory = args.cache_dir or cache.cache_dir_from_env()
     if directory is None:
         return compute()
+    key = f"{name}:ell={args.ell}"
     records = cache.cache_load(directory, key)
     if records is None:
-        records = compute()
+        records = [{k: _text(v) for k, v in r.items()} for r in compute()]
         cache.cache_store(directory, key, records)
     return records
 
@@ -141,103 +165,64 @@ def _cached_records(args, key: str, compute):
 def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "reduce":
         w = parse_word(args.word)
-        return [{"word": format_word(w), "normal_form": format_word(normalize(w))}], 0
+        return [{"word": w, "normal_form": normalize(w)}], 0
 
     if args.command == "orbit":
-        w = parse_word(args.word)
-        result = orbit(w, args.digit_cap, args.cap)
+        result = orbit(parse_word(args.word), args.digit_cap, args.cap)
         if result.truncated:
             print(f"warning: orbit truncated at {args.cap} states", file=sys.stderr)
-        return [{"member": format_word(m)} for m in sorted(result.words)], 0
+        return [{"member": m} for m in sorted(result.words)], 0
 
     if args.command == "add":
         lhs, rhs = parse_word(args.lhs), parse_word(args.rhs)
-        return [
-            {
-                "lhs": format_word(lhs),
-                "rhs": format_word(rhs),
-                "sum": format_word(group.add(lhs, rhs)),
-            }
-        ], 0
+        return [{"lhs": lhs, "rhs": rhs, "sum": group.add(lhs, rhs)}], 0
 
     if args.command == "neg":
         w = parse_word(args.word)
-        return [{"word": format_word(w), "negation": format_word(group.neg(w))}], 0
+        return [{"word": w, "negation": group.neg(w)}], 0
 
     if args.command == "mul":
         w = parse_word(args.word)
-        return [
-            {
-                "k": str(args.k),
-                "word": format_word(w),
-                "product": format_word(group.scalar_mul(args.k, w)),
-            }
-        ], 0
+        return [{"k": args.k, "word": w, "product": group.scalar_mul(args.k, w)}], 0
 
     if args.command == "group":
         bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
-            return [{"ell": str(args.ell), "order": str(len(group.enumerate_elements(args.ell, bound)))}], 0
+            return [{"ell": args.ell, "order": len(group.enumerate_elements(args.ell, bound))}], 0
         if args.list:
-            key = f"group-elements:ell={args.ell}"
-            records = _cached_records(
-                args,
-                key,
-                lambda: [{"element": format_word(w)} for w in group.enumerate_elements(args.ell, bound)],
-            )
-            return records, 0
+
+            def elements():
+                return [{"element": w} for w in group.enumerate_elements(args.ell, bound)]
+
+            return _cached_records(args, bound, "group-elements", elements), 0
         if args.structure:
             s = group.decompose(args.ell, bound)
-            return [
-                {
-                    "ell": str(args.ell),
-                    "order": str(s.order),
-                    "e1": str(s.invariant_factors[0]),
-                    "e2": str(s.invariant_factors[1]),
-                    "d": str(s.d),
-                }
-            ], 0
+            e1, e2 = s.invariant_factors
+            return [{"ell": args.ell, "order": s.order, "e1": e1, "e2": e2, "d": s.d}], 0
         if args.ell > 4:
             raise ResourceBoundError("addition table supported only for ell <= 4")
         elements = group.enumerate_elements(args.ell, bound)
-        records = [
-            {
-                "lhs": format_word(u),
-                "rhs": format_word(v),
-                "sum": format_word(group.add(u, v)),
-            }
-            for u in elements
-            for v in elements
-        ]
-        return records, 0
+        return [{"lhs": u, "rhs": v, "sum": group.add(u, v)} for u in elements for v in elements], 0
 
     if args.command == "orderq":
         from . import orderq
 
         bound = _bound(args.max_ell, orderq.DEFAULT_P_GROUP_BOUND)
         if args.min_length:
-            return [{"q": str(args.q), "min_length": str(orderq.minimal_even_length(args.q))}], 0
+            return [{"q": args.q, "min_length": orderq.minimal_even_length(args.q)}], 0
         if args.pi:
             pi, pi_prime = orderq.pi_words(args.q)
-            return [
-                {"q": str(args.q), "pi": format_word(pi), "pi_prime": format_word(pi_prime)}
-            ], 0
+            return [{"q": args.q, "pi": pi, "pi_prime": pi_prime}], 0
         if args.elements:
             return [
-                {
-                    "element": format_word(e.word),
-                    "primitive_period": format_word(e.primitive),
-                }
+                {"element": e.word, "primitive_period": e.primitive}
                 for e in orderq.p_group(args.q, bound)
             ], 0
         report = orderq.verify_pi_multiples(args.q, bound)
         records = [
-            {"check": "multiples", "status": "pass" if report.multiples_match else "fail"},
-            {"check": "rotation", "status": "pass" if report.rotation_match else "fail"},
-            {
-                "check": "only-distinguished-pair",
-                "status": "pass" if report.only_pi_pair_satisfies else "fail",
-            },
+            {"check": "multiples", "status": report.multiples_match},
+            {"check": "rotation", "status": report.rotation_match},
+            {"check": "only-distinguished-pair", "status": report.only_pi_pair_satisfies},
         ]
         return records, 0 if report.ok else 1
 
@@ -246,41 +231,29 @@ def dispatch(args) -> tuple[list[Record], int]:
 
         bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.partition:
-            records = []
-            for u in group.enumerate_elements(args.ell, bound):
-                records.append({"element": format_word(u), "type": typology.classify(u)})
-            return records, 0
+            return [
+                {"element": u, "type": typology.classify(u)}
+                for u in group.enumerate_elements(args.ell, bound)
+            ], 0
         if args.image_sets:
-            records = []
             classes = typology.type_classes(args.ell, bound)
-            for tag, cmp in sorted(typology.image_sets(classes).items()):
-                records.append(
-                    {
-                        "type": tag,
-                        "computed": " ".join(map(str, sorted(cmp.computed))),
-                        "formula": " ".join(map(str, sorted(cmp.formula))),
-                        "offset": "" if cmp.offset is None else str(cmp.offset),
-                    }
-                )
-            return records, 0
+            return [
+                {
+                    "type": tag,
+                    "computed": " ".join(map(str, sorted(cmp.computed))),
+                    "formula": " ".join(map(str, sorted(cmp.formula))),
+                    "offset": "" if cmp.offset is None else cmp.offset,
+                }
+                for tag, cmp in sorted(typology.image_sets(classes).items())
+            ], 0
         ok = typology.sigma_relation_check(typology.type_classes(args.ell, bound))
-        return [{"check": "rotation-maps-T10-onto-T01", "status": "pass" if ok else "fail"}], (
-            0 if ok else 1
-        )
+        return [{"check": "rotation-maps-T10-onto-T01", "status": ok}], 0 if ok else 1
 
     if args.command == "fibword":
         from . import typology
 
         blocks = typology.fib_partition(args.ell, _bound(args.max_ell, group.DEFAULT_ENUM_BOUND))
-        return [
-            {
-                "index": str(b.index),
-                "block": b.block,
-                "a_count": str(b.a_count),
-                "b_count": str(b.b_count),
-            }
-            for b in blocks
-        ], 0
+        return [b._asdict() for b in blocks], 0
 
     if args.command == "wheel":
         from . import wheels
@@ -289,67 +262,44 @@ def dispatch(args) -> tuple[list[Record], int]:
         if args.count:
             return [
                 {
-                    "ell": str(args.ell),
-                    "backtracking": str(len(wheels.spanning_trees(args.ell, bound))),
-                    "determinant": str(wheels.count_trees_matrix(args.ell)),
+                    "ell": args.ell,
+                    "backtracking": len(wheels.spanning_trees(args.ell, bound)),
+                    "determinant": wheels.count_trees_matrix(args.ell),
                 }
             ], 0
         if args.trees:
-            return [
-                {
-                    "spokes": _tree_bits(t.spokes, args.ell),
-                    "rims": _tree_bits(t.rims, args.ell),
-                }
-                for t in wheels.spanning_trees(args.ell, bound)
-            ], 0
+            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell, bound)], 0
         if args.map:
-            key = f"wheel-map:ell={args.ell}"
 
-            def compute():
+            def tree_map():
                 records = []
                 for t in wheels.spanning_trees(args.ell, bound):
                     raw = wheels.tree_to_word(t)
                     records.append(
-                        {
-                            "spokes": _tree_bits(t.spokes, args.ell),
-                            "rims": _tree_bits(t.rims, args.ell),
-                            "raw_word": format_word(raw),
-                            "normal_form": format_word(normalize(raw)),
-                        }
+                        {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
                     )
                 return records
 
-            return _cached_records(args, key, compute), 0
+            return _cached_records(args, bound, "wheel-map", tree_map), 0
         report = wheels.identity_fiber_report(args.ell, bound)
-        ok = report.bijective
         return [
             {
-                "ell": str(args.ell),
-                "tree_words": str(report.tree_word_count),
-                "group_order": str(report.group_order),
-                "identity_fiber": str(report.identity_fiber),
-                "status": "pass" if ok else "fail",
+                "ell": args.ell,
+                "tree_words": report.tree_word_count,
+                "group_order": report.group_order,
+                "identity_fiber": report.identity_fiber,
+                "status": report.bijective,
             }
-        ], 0 if ok else 1
+        ], 0 if report.bijective else 1
 
     if args.command == "gcd-check":
         report = group.gcd_property_report(args.max)
         records = [
-            {
-                "check": f"gcd(d,{c.m},{c.n})",
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-                "status": "pass" if c.ok else "fail",
-            }
+            {"check": f"gcd(d,{c.m},{c.n})", "lhs": c.lhs, "rhs": c.rhs, "status": c.ok}
             for c in report.pair_checks if c.m <= c.n
         ]
         records += [
-            {
-                "check": f"even-index d={c.m}",
-                "lhs": str(c.lhs),
-                "rhs": str(c.rhs),
-                "status": "pass" if c.ok else "fail",
-            }
+            {"check": f"even-index d={c.m}", "lhs": c.lhs, "rhs": c.rhs, "status": c.ok}
             for c in report.even_index_checks
         ]
         return records, 0 if report.ok else 1
@@ -359,11 +309,7 @@ def dispatch(args) -> tuple[list[Record], int]:
 
         report = baseb.verify_cyclic_group(args.base, args.q)
         records = [
-            {
-                "i": str(i),
-                "multiple": str(m),
-                "status": "pass" if report.ok else "fail",
-            }
+            {"i": i, "multiple": m, "status": report.ok}
             for i, m in enumerate(report.multiples, start=1)
         ]
         return records, 0 if report.ok else 1
@@ -372,16 +318,7 @@ def dispatch(args) -> tuple[list[Record], int]:
         from . import verify
 
         report = verify.run_verify(_bound(args.max_ell, 6), _bound(args.max_q, 6))
-        records = [
-            {
-                "criterion": c.criterion,
-                "subject": c.subject,
-                "status": c.status,
-                "detail": c.detail,
-            }
-            for c in report.claims
-        ]
-        return records, report.exit_code()
+        return [c._asdict() for c in report.claims], report.exit_code()
 
     raise CircfibError(f"unknown command {args.command!r}")
 

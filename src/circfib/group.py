@@ -97,12 +97,17 @@ def scalar_mul(k: int, u) -> Word:
     return decode_pair(k * x, k * y, len(w))
 
 
+def check_enum_bound(ell: int, max_ell: int) -> None:
+    """Refuse an ell above the enumeration bound before any work starts."""
+    if ell > max_ell:
+        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
+
+
 def enumerate_elements(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Word]:
     """All group elements of parameter l, in lexicographic word order."""
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    if ell > max_ell:
-        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
+    check_enum_bound(ell, max_ell)
     n = 2 * ell
     skip = alternating_word(n, first=1)
     return [w for w in iter_admissible(n) if any(w) and w != skip]

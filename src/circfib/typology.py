@@ -26,9 +26,17 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidWordError, PartitionError, ResourceBoundError
+from .errors import InvalidWordError, PartitionError
 from .fibcore import Word, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
-from .group import DEFAULT_ENUM_BOUND, canonical, d_value, enumerate_elements, identity, neg
+from .group import (
+    DEFAULT_ENUM_BOUND,
+    canonical,
+    check_enum_bound,
+    d_value,
+    enumerate_elements,
+    identity,
+    neg,
+)
 
 T01 = "T01"
 T10 = "T10"
@@ -182,8 +190,7 @@ def fib_partition(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Partition
     """
     if ell <= 2:
         raise InvalidWordError(f"ell must be > 2, got {ell}")
-    if ell > max_ell:
-        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
+    check_enum_bound(ell, max_ell)
     total = fib(2 * ell - 2)
     word = "b" + fibonacci_word_prefix(total)
     k = d_value(ell)

@@ -23,9 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidWordError, ResourceBoundError
+from .errors import InvalidWordError
 from .fibcore import Word, as_word, iter_words_binary
-from .group import DEFAULT_ENUM_BOUND, add, enumerate_elements, identity
+from .group import DEFAULT_ENUM_BOUND, add, check_enum_bound, enumerate_elements, identity
 from .rewrite import normalize
 
 
@@ -55,8 +55,7 @@ def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
 
 def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTree]:
     """All spanning trees, by backtracking with union-find acyclicity."""
-    if ell > max_ell:
-        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
+    check_enum_bound(ell, max_ell)
     edges = wheel_edges(ell)
     need = ell  # a spanning tree of l+1 vertices has l edges
     parent = list(range(ell + 1))
@@ -229,8 +228,7 @@ def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> Identi
     represented by 1^(2l) alone.  The report records the actual sizes
     rather than presuming them.  The bound is checked before the scan.
     """
-    if ell > max_ell:
-        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
+    check_enum_bound(ell, max_ell)
     tree_words = frozenset(filter(is_tree_word, iter_words_binary(2 * ell)))
     fiber: dict[Word, int] = {}
     for w in tree_words:

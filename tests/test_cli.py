@@ -37,10 +37,42 @@ def test_reduce_jsonlines(capsys):
     assert json.loads(out) == {"word": "0002", "normal_form": "0010"}
 
 
-def test_formats_encode_same_records(capsys):
-    _, tsv_out, _ = run_cli(capsys, "group", "--ell", "2", "--list")
-    _, json_out, _ = run_cli(capsys, "--format", "jsonlines", "group", "--ell", "2", "--list")
-    assert parse_records(tsv_out, "tsv") == parse_records(json_out, "jsonlines")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "020111"],
+        ["orbit", "1111", "--digit-cap", "2"],
+        ["add", "0001", "0001"],
+        ["neg", "0001"],
+        ["mul", "4", "000100"],
+        ["group", "--ell", "2", "--list"],
+        ["group", "--ell", "3", "--count"],
+        ["group", "--ell", "4", "--structure"],
+        ["group", "--ell", "2", "--table"],
+        ["orderq", "--q", "4", "--min-length"],
+        ["orderq", "--q", "4", "--pi"],
+        ["orderq", "--q", "3", "--elements"],
+        ["orderq", "--q", "2", "--verify"],
+        ["types", "--ell", "2", "--partition"],
+        ["types", "--ell", "3", "--image-sets"],
+        ["types", "--ell", "2", "--verify"],
+        ["fibword", "--ell", "4", "--partition"],
+        ["wheel", "--ell", "3", "--count"],
+        ["wheel", "--ell", "3", "--trees"],
+        ["wheel", "--ell", "3", "--map"],
+        ["wheel", "--ell", "2", "--verify-bijection"],
+        ["gcd-check", "--max", "6"],
+        ["demo-base", "--base", "12", "--q", "5"],
+        ["--max-ell", "2", "--max-q", "2", "verify"],
+    ],
+    ids=" ".join,
+)
+def test_formats_encode_same_records(capsys, argv):
+    tsv_code, tsv_out, _ = run_cli(capsys, *argv)
+    json_code, json_out, _ = run_cli(capsys, "--format", "jsonlines", *argv)
+    records = parse_records(tsv_out, "tsv")
+    assert records and tsv_code == json_code
+    assert records == parse_records(json_out, "jsonlines")
 
 
 def test_render_round_trip():
@@ -242,6 +274,41 @@ def test_cli_uses_cache(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [["group", "--ell", "3", "--list"], ["wheel", "--ell", "3", "--map"]])
+def test_warm_cache_keeps_max_ell_bound(tmp_path, capsys, argv):
+    # the same invocation gives the same answer whatever the cache holds
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), *argv)[0] == 0
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "--max-ell", "2", *argv) == (
+        3,
+        "",
+        "error: ell=3 exceeds enumeration bound 2\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (
+            ["group", "--ell", "2", "--list"],
+            "group-elements_ell_2.tsv",
+            "circfib-cache 1 group-elements:ell=2\nelement\n0001\n0010\n0100\n0101\n1000\n",
+        ),
+        (
+            ["wheel", "--ell", "2", "--map"],
+            "wheel-map_ell_2.tsv",
+            "circfib-cache 1 wheel-map:ell=2\nspokes\trims\traw_word\tnormal_form\n"
+            "11\t00\t1111\t0101\n10\t10\t1001\t0100\n10\t01\t1100\t0010\n"
+            "01\t10\t0011\t1000\n01\t01\t0110\t0001\n",
+        ),
+    ],
+)
+def test_cache_file_bytes(tmp_path, capsys, argv, name, text):
+    # the stored entry is pinned byte for byte, so CACHE_VERSION stays valid
+    run_cli(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert os.listdir(str(tmp_path)) == [name]
+    assert (tmp_path / name).read_bytes() == text.encode()
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
     code, out, _ = run_cli(capsys, "wheel", "--ell", "2", "--map")
@@ -268,9 +335,9 @@ def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch)
     assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
 
 
-# stdout, stderr and exit code of `types`, `wheel --verify-bijection`,
-# `orderq --verify`, `reduce`, `add`, `neg` and `mul` invocations, including
-# bound and input errors; the arithmetic cases run at lengths 8 to 1000
+# stdout, stderr and exit code of invocations of every command and mode
+# except `verify`, including bound and input errors; the arithmetic cases
+# run at lengths 8 to 1000
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
