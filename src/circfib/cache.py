@@ -4,7 +4,7 @@ Entries are UTF-8 text files: a header line ``circfib-cache <version> <key>``
 followed by tab-separated records under a field-name header row.  Files are
 written atomically (temp file then rename).  A missing, stale, or corrupt
 entry is reported as absent so callers recompute; corruption additionally
-prints a warning to stderr.
+prints a warning to stderr, and so does a directory that cannot be written.
 """
 
 from __future__ import annotations
@@ -28,22 +28,27 @@ def _path_for(directory: str, key: str) -> str:
     return os.path.join(directory, f"{safe}.tsv")
 
 
-def cache_store(directory: str, key: str, records: list[Record]) -> str:
-    """Write records under the key; returns the file path."""
-    os.makedirs(directory, exist_ok=True)
+def cache_store(directory: str, key: str, records: list[Record]) -> str | None:
+    """Write records under the key; returns the file path, or None after a
+    warning when the directory cannot be written."""
     path = _path_for(directory, key)
     fields = list(records[0].keys()) if records else []
     lines = [f"circfib-cache {CACHE_VERSION} {key}", "\t".join(fields)]
     for record in records:
         lines.append("\t".join(record[f] for f in fields))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        print(f"warning: cannot write cache entry {path}: {exc}", file=sys.stderr)
+        return None
     return path
 
 

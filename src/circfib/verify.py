@@ -15,7 +15,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import baseb, group, orderq, typology, wheels
-from .errors import CircfibError, StructureMismatchError
+from .errors import CircfibError, ResourceBoundError, StructureMismatchError
 from .fibcore import (
     _balanced_windows,
     _is_admissible,
@@ -31,6 +31,34 @@ FAIL = "fail"
 DISCREPANCY = "discrepancy"
 
 KNOWN_CARDINALITIES = (1, 5, 16, 45, 121, 320)
+
+# How deep each row that a bound drives goes: (criterion, row) -> (bound kind,
+# first parameter, ceiling).  A row checks its first parameter up to the
+# bound or its ceiling, whichever is lower; ``run_verify`` refuses a bound
+# above the deepest ceiling of its kind.  Rows that no bound drives are
+# fixed in their criterion: criterion 6's mixed-length rows, 7, 11 and 12.
+DEPTHS = {
+    ("1", "order"): ("ell", 1, 6),
+    ("2", "structure"): ("ell", 2, 7),
+    ("3", "normal-form uniqueness"): ("ell", 2, 4),  # at length n = 2 * ell
+    ("4", "group axioms"): ("ell", 1, 4),
+    ("4", "negation inverses"): ("ell", 1, 6),
+    ("5", "minimal length"): ("q", 2, 100),
+    ("6", "order-q group"): ("q", 2, 6),
+    ("8", "classify total"): ("ell", 1, 7),
+    ("8", "image set"): ("ell", 2, 6),
+    ("9", "balanced partition"): ("ell", 3, 10),
+    ("9", "multiples increment"): ("ell", 3, 6),
+    ("10", "tree counts"): ("ell", 1, 8),
+    ("10", "taxonomy bijective"): ("ell", 1, 6),
+    ("10", "transported group laws"): ("ell", 1, 3),
+}
+
+
+def _depth(criterion: str, row: str, bound: int) -> range:
+    """The parameters a row checks under a bound of its kind."""
+    _, first, ceiling = DEPTHS[criterion, row]
+    return range(first, min(bound, ceiling) + 1)
 
 
 class Claim(NamedTuple):
@@ -59,10 +87,10 @@ def _claim(criterion: str, subject: str, ok: bool, detail: str = "") -> Claim:
     return Claim(criterion, subject, PASS if ok else FAIL, detail)
 
 
-def criterion_cardinalities(max_ell: int = 6) -> list[Claim]:
+def criterion_cardinalities(max_ell: int) -> list[Claim]:
     """Group orders for the first parameters equal 1, 5, 16, 45, 121, 320."""
     claims = []
-    for ell in range(1, min(6, max_ell) + 1):
+    for ell in _depth("1", "order", max_ell):
         expected = KNOWN_CARDINALITIES[ell - 1]
         got = len(group.enumerate_elements(ell))
         claims.append(
@@ -71,10 +99,10 @@ def criterion_cardinalities(max_ell: int = 6) -> list[Claim]:
     return claims
 
 
-def criterion_structure(max_ell: int = 7) -> list[Claim]:
+def criterion_structure(max_ell: int) -> list[Claim]:
     """Certified invariant factors match the d-formula, by ``group.decompose``."""
     claims = []
-    for ell in range(2, min(7, max_ell) + 1):
+    for ell in _depth("2", "structure", max_ell):
         try:
             got = group.decompose(ell).invariant_factors
             # decompose raises unless the certified factors are the predicted ones
@@ -113,12 +141,11 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     return components, identity_components, ok
 
 
-def criterion_uniqueness(max_ell: int = 4) -> list[Claim]:
-    """Exactly one normal form per class over {0,1,2}-words, lengths 4, 6, 8."""
+def criterion_uniqueness(max_ell: int) -> list[Claim]:
+    """Exactly one normal form per class over {0,1,2}-words of length 2 * ell."""
     claims = []
-    for n in (4, 6, 8):
-        if n > 2 * max_ell:
-            continue
+    for ell in _depth("3", "normal-form uniqueness", max_ell):
+        n = 2 * ell
         components, identity_components, ok = uniqueness_scan(n)
         claims.append(
             _claim(
@@ -131,8 +158,8 @@ def criterion_uniqueness(max_ell: int = 4) -> list[Claim]:
     return claims
 
 
-def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
-    """Exhaustive group laws at small parameters; inverses up to ell = 6.
+def criterion_group_axioms(max_ell: int) -> list[Claim]:
+    """Exhaustive group laws at small parameters; inverses at more of them.
 
     The laws are read off one Cayley table per parameter, built by
     ``group.add`` over all pairs of elements.  Closure, commutativity and
@@ -142,7 +169,7 @@ def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
     read through row u, which is (u + v) + t == u + (v + t) for every t.
     """
     claims = []
-    for ell in range(1, min(4, max_ell) + 1):
+    for ell in _depth("4", "group axioms", max_ell):
         elements = group.enumerate_elements(ell)
         ident = group.identity(ell)
         index = {u: i for i, u in enumerate(elements)}
@@ -173,7 +200,7 @@ def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
                 f"assoc={assoc} comm={comm} identity={ident_law} closed={closed}",
             )
         )
-    for ell in range(1, min(6, max_ell) + 1):
+    for ell in _depth("4", "negation inverses", max_ell):
         ident = group.identity(ell)
         ok = all(
             group.add(u, group.neg(u)) == ident for u in group.enumerate_elements(ell)
@@ -182,11 +209,11 @@ def criterion_group_axioms(max_ell: int = 6) -> list[Claim]:
     return claims
 
 
-def criterion_order_q(max_q: int = 10) -> list[Claim]:
+def criterion_order_q(max_q: int) -> list[Claim]:
     """Canonical length formula, its d-divisibility cross-check, and the
-    multiples of the distinguished pair, for q = 2..max_q."""
+    multiples of the distinguished pair, for each q up to max_q."""
     claims = []
-    for q in range(2, max_q + 1):
+    for q in _depth("5", "minimal length", max_q):
         n = orderq.minimal_even_length(q)
         ell = 1
         while group.d_value(ell) % q != 0:
@@ -207,10 +234,10 @@ def criterion_order_q(max_q: int = 10) -> list[Claim]:
     return claims
 
 
-def criterion_p_group(max_q: int = 6) -> list[Claim]:
+def criterion_p_group(max_q: int) -> list[Claim]:
     """Order q^2, exponent q, two-generator certificate; mixed-length sums."""
     claims = []
-    for q in range(2, min(6, max_q) + 1):
+    for q in _depth("6", "order-q group", max_q):
         elements = [e.word for e in orderq.p_group(q)]
         try:
             exponent, _ = group.certify_factors(elements)
@@ -286,15 +313,15 @@ def criterion_gcd() -> list[Claim]:
     return claims
 
 
-def criterion_types(max_ell: int = 7) -> list[Claim]:
+def criterion_types(max_ell: int) -> list[Claim]:
     """Partition totality, rotation relation, and image-set comparisons.
 
     Each ell's partition is built once, by ``typology.type_classes``, and
     every row reads it.
     """
-    top = min(7, max_ell)
+    ells = _depth("8", "classify total", max_ell)
     partitions = {}
-    for ell in range(1, top + 1):
+    for ell in ells:
         try:
             partitions[ell] = typology.type_classes(ell)
         except CircfibError:
@@ -306,14 +333,14 @@ def criterion_types(max_ell: int = 7) -> list[Claim]:
             # the identity representatives are tagged by convention only
             if any(typology.structural_class(u) != tag for u in words - {ident, rotate(ident)}):
                 structural_ok = False
-    total_ok = len(partitions) == top
+    total_ok = len(partitions) == len(ells)
     sigma_ok = total_ok and all(map(typology.sigma_relation_check, partitions.values()))
     claims = [
-        _claim("8", f"classify total ell<={top}", total_ok),
+        _claim("8", f"classify total ell<={ells[-1]}", total_ok),
         _claim("8", "structural rule agrees with classify", structural_ok),
         _claim("8", "rotation maps T10 onto T01", sigma_ok),
     ]
-    for ell in range(2, min(6, max_ell) + 1):
+    for ell in _depth("8", "image set", max_ell):
         if ell not in partitions:
             continue  # failed as "classify total"
         sets = typology.image_sets(partitions[ell])
@@ -348,10 +375,10 @@ def _set_preview(values) -> str:
     return "{" + " ".join(map(str, items[:8])) + more + "}"
 
 
-def criterion_partition(max_ell: int = 10) -> list[Claim]:
+def criterion_partition(max_ell: int) -> list[Claim]:
     """Constant block counts and the multiples chain of the distinguished word."""
     claims = []
-    for ell in range(3, min(10, max_ell) + 1):
+    for ell in _depth("9", "balanced partition", max_ell):
         try:
             blocks = typology.fib_partition(ell)
             counts = {(b.a_count, b.b_count) for b in blocks}
@@ -360,7 +387,7 @@ def criterion_partition(max_ell: int = 10) -> list[Claim]:
         except CircfibError as exc:
             ok, detail = False, str(exc)
         claims.append(_claim("9", f"balanced partition ell={ell}", ok, detail))
-    for ell in range(3, min(6, max_ell) + 1):
+    for ell in _depth("9", "multiples increment", max_ell):
         q = group.d_value(ell)
         pi, _ = orderq.pi_words(q)
         # i*P is the Zeckendorf word of i*valuation(P), so valuations step by valuation(P)
@@ -369,11 +396,11 @@ def criterion_partition(max_ell: int = 10) -> list[Claim]:
     return claims
 
 
-def criterion_wheels(max_ell: int = 8) -> list[Claim]:
+def criterion_wheels(max_ell: int) -> list[Claim]:
     """Tree counts by two routes, taxonomy bijection, characterization, laws."""
     claims = []
     trees_of = {}  # the spanning trees of each l, listed once for every check
-    for ell in range(1, min(8, max_ell) + 1):
+    for ell in _depth("10", "tree counts", max_ell):
         trees_of[ell] = wheels.spanning_trees(ell)
         backtracking = len(trees_of[ell])
         determinant = wheels.count_trees_matrix(ell)
@@ -386,20 +413,19 @@ def criterion_wheels(max_ell: int = 8) -> list[Claim]:
                 f"backtracking {backtracking}, determinant {determinant}, group order {order}",
             )
         )
-    bijective_ok = True
-    characterization_ok = True
-    for ell in range(1, min(6, max_ell) + 1):
-        report = wheels.identity_fiber_report(ell)
-        if not report.bijective or report.identity_fiber != 1:
-            bijective_ok = False
-        raw = {wheels.tree_to_word(t) for t in trees_of[ell]}
-        if raw != report.tree_words:
-            characterization_ok = False
-    claims.append(_claim("10", "taxonomy bijective ell<=6", bijective_ok))
-    claims.append(_claim("10", "even-zero-block characterization ell<=6", characterization_ok))
+    ells = _depth("10", "taxonomy bijective", max_ell)
+    reports = {ell: wheels.identity_fiber_report(ell) for ell in ells}
+    bijective_ok = all(r.bijective and r.identity_fiber == 1 for r in reports.values())
+    even_zero_ok = all(
+        {wheels.tree_to_word(t) for t in trees_of[ell]} == report.tree_words
+        for ell, report in reports.items()
+    )
+    claims.append(_claim("10", f"taxonomy bijective ell<={ells[-1]}", bijective_ok))
+    claims.append(_claim("10", f"even-zero-block characterization ell<={ells[-1]}", even_zero_ok))
     axioms_ok, detail = True, ""
+    ells = _depth("10", "transported group laws", max_ell)
     try:
-        for ell in range(1, min(3, max_ell) + 1):
+        for ell in ells:
             trees, star, plus = trees_of[ell], wheels.star_tree(ell), wheels.tree_add
             axioms_ok = axioms_ok and (
                 len(wheels.taxonomy_table(ell)) == len(trees)
@@ -409,7 +435,7 @@ def criterion_wheels(max_ell: int = 8) -> list[Claim]:
             )
     except CircfibError as exc:  # e.g. a taxonomy collision
         axioms_ok, detail = False, str(exc)
-    claims.append(_claim("10", "transported group laws ell<=3", axioms_ok, detail))
+    claims.append(_claim("10", f"transported group laws ell<={ells[-1]}", axioms_ok, detail))
     return claims
 
 
@@ -445,9 +471,14 @@ def criterion_balance() -> list[Claim]:
 
 
 def run_verify(max_ell: int = 6, max_q: int = 6) -> VerificationReport:
-    """Run every suite at bounds capped by max_ell and max_q."""
+    """Run every suite, each row to its bound or its ceiling in ``DEPTHS``."""
     if max_ell < 1 or max_q < 2:
         raise CircfibError("bounds must satisfy max_ell >= 1, max_q >= 2")
+    for kind, bound in (("ell", max_ell), ("q", max_q)):
+        ceiling, criterion, row = max((c, *key) for key, (k, _, c) in DEPTHS.items() if k == kind)
+        if bound > ceiling:
+            bound_text = f"max_{kind}={bound} exceeds verify ceiling {ceiling}"
+            raise ResourceBoundError(f"{bound_text} (criterion {criterion}, {row})")
     claims = criterion_cardinalities(max_ell)
     claims += criterion_structure(max_ell)
     claims += criterion_uniqueness(max_ell)

@@ -6,7 +6,10 @@ asserts that no claim in the criterion failed.  Documented discrepancies
 dropped.  All checks are exact integer equalities.
 """
 
+import re
 import time
+
+import pytest
 
 from circfib import verify
 from circfib.fibcore import is_admissible
@@ -118,6 +121,29 @@ def test_full_report_aggregation():
     assert report.ok
     assert report.exit_code() == 0
     assert all(c.status in (verify.PASS, verify.DISCREPANCY) for c in report.claims)
+
+
+def _parameter(subject, kind):
+    """The parameter of a kind that a subject names; criterion 3 names the
+    length n = 2 * ell instead."""
+    match = re.search(rf"\b{kind}<?=(\d+)", subject) or re.search(r"\bn=(\d+)", subject)
+    return int(match[1]) // (2 if match[0].startswith("n") else 1)
+
+
+@pytest.mark.parametrize("max_ell, max_q", [(2, 2), (6, 6), (10, 100)])
+def test_every_row_runs_to_its_bound_or_ceiling(max_ell, max_q):
+    # each row stops at its bound or its ceiling; (10, 100) are the deepest bounds verify accepts
+    claims = verify.run_verify(max_ell, max_q).claims
+    assert all(c.status in (verify.PASS, verify.DISCREPANCY) for c in claims)
+    bounds = {"ell": max_ell, "q": max_q}
+    for (criterion, row), (kind, first, ceiling) in verify.DEPTHS.items():
+        depths = [
+            _parameter(c.subject, kind)
+            for c in claims
+            if c.criterion == criterion and row in c.subject
+        ]
+        expected = range(first, min(bounds[kind], ceiling) + 1)
+        assert max(depths, default=None) == max(expected, default=None), (criterion, row)
 
 
 def test_negative_control_corrupted_d_formula(monkeypatch):
@@ -233,7 +259,7 @@ def test_merged_move_classes_are_caught(monkeypatch):
     monkeypatch.setattr(verify, "move_classes", merged)
     for n in (4, 6, 8):
         assert verify.uniqueness_scan(n) == (1, 0, False)
-    claims = verify.criterion_uniqueness()
+    claims = verify.criterion_uniqueness(max_ell=4)
     assert [(c.status, c.detail) for c in claims] == [
         (verify.FAIL, "1 components, 0 identity component(s)")
     ] * 3
@@ -326,8 +352,8 @@ def test_wrong_taxonomy_is_caught(monkeypatch):
 
     monkeypatch.setattr(wheels, "normalize", corrupted)
     status = {c.subject: c.status for c in verify.criterion_wheels(max_ell=4)}
-    assert status["taxonomy bijective ell<=6"] == verify.FAIL
-    assert status["even-zero-block characterization ell<=6"] == verify.PASS
+    assert status["taxonomy bijective ell<=4"] == verify.FAIL
+    assert status["even-zero-block characterization ell<=4"] == verify.PASS
     assert status["transported group laws ell<=3"] == verify.PASS
 
 
@@ -355,8 +381,8 @@ def test_taxonomy_collision_is_reported(monkeypatch):
         ("tree counts ell=2", verify.PASS, "backtracking 5, determinant 5, group order 5"),
         ("tree counts ell=3", verify.PASS, "backtracking 16, determinant 16, group order 16"),
         ("tree counts ell=4", verify.PASS, "backtracking 45, determinant 45, group order 45"),
-        ("taxonomy bijective ell<=6", verify.FAIL, ""),
-        ("even-zero-block characterization ell<=6", verify.PASS, ""),
+        ("taxonomy bijective ell<=4", verify.FAIL, ""),
+        ("even-zero-block characterization ell<=4", verify.PASS, ""),
         (
             "transported group laws ell<=3",
             verify.FAIL,
@@ -367,7 +393,7 @@ def test_taxonomy_collision_is_reported(monkeypatch):
     ]
     assert report.exit_code() == 1
     assert [c.subject for c in report.failures] == [
-        "taxonomy bijective ell<=6",
+        "taxonomy bijective ell<=4",
         "transported group laws ell<=3",
     ]
 

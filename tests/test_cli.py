@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from circfib import cache, wheels
+from circfib import cache, verify, wheels
 from circfib.cli import main, render
 
 
@@ -239,6 +241,21 @@ def test_zero_verify_bound_is_refused(capsys, bound):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-ell", "11"], "max_ell=11 exceeds verify ceiling 10 (criterion 9, balanced partition)"),
+        (["--max-q", "101"], "max_q=101 exceeds verify ceiling 100 (criterion 5, minimal length)"),
+    ],
+)
+def test_verify_ceiling_is_refused_before_any_criterion(capsys, monkeypatch, argv, message):
+    def no_work(bound):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(verify, "criterion_cardinalities", no_work)
+    assert run_cli(capsys, *argv, "verify") == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_orbit_cap_below_one_is_refused(capsys, cap):
     assert run_cli(capsys, "orbit", "11", "--cap", cap) == (2, "", f"error: size cap {cap} below 1\n")
@@ -283,6 +300,19 @@ def test_warm_cache_keeps_max_ell_bound(tmp_path, capsys, argv):
         "",
         "error: ell=3 exceeds enumeration bound 2\n",
     )
+
+
+@pytest.mark.parametrize("argv", [["group", "--ell", "3", "--list"], ["wheel", "--ell", "3", "--map"]])
+def test_unwritable_cache_warns_and_prints(tmp_path, capsys, argv):
+    # a cache directory that is a regular file cannot be written: one warning,
+    # and the records a run without a cache prints
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    plain = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "--cache-dir", str(blocker), *argv)
+    assert (code, out, "") == plain
+    assert len(err.splitlines()) == 1 and err.startswith("warning: cannot write cache entry ")
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -335,9 +365,9 @@ def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch)
     assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
 
 
-# stdout, stderr and exit code of invocations of every command and mode
-# except `verify`, including bound and input errors; the arithmetic cases
-# run at lengths 8 to 1000
+# stdout, stderr and exit code of invocations of every command and mode,
+# `verify` at its smallest bounds among them, including bound and input
+# errors; the arithmetic cases run at lengths 8 to 1000
 CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
@@ -349,3 +379,13 @@ def _case_id(case):
 @pytest.mark.parametrize("case", CLI_GOLDEN, ids=_case_id)
 def test_cli_golden_output(capsys, case):
     assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("module", ["circfib", "circfib.cli"])
+def test_python_dash_m(capsys, module):
+    expected = run_cli(capsys, "reduce", "020111")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "reduce", "020111"], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == expected

@@ -82,7 +82,9 @@ def test_verify_loads_neither_dataclasses_nor_inspect():
 
 
 CORE = ["circfib", "circfib.cli", "circfib.errors", "circfib.fibcore", "circfib.group", "circfib.rewrite"]
-EVERY = sorted(["circfib", *(f"circfib.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__")])
+# every module a command may load: `python -m circfib` alone runs __main__
+MODULES = [path.stem for path in SRC.glob("*.py") if path.stem not in ("__init__", "__main__")]
+EVERY = sorted(["circfib", *(f"circfib.{stem}" for stem in MODULES)])
 FOOTPRINT = """
 import contextlib, io, json, sys
 import circfib.cli

@@ -9,3 +9,17 @@ def test_readme_library_tour():
     runner = doctest.DocTestRunner()
     runner.run(test)
     assert (runner.failures, runner.tries) == (0, 5)
+
+
+def test_readme_depth_list_is_the_verify_table():
+    from circfib import verify
+
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    head = "| criterion | row | bound | first | ceiling | at the defaults |\n|---|---|---|---|---|---|\n"
+    body = text.split(head, 1)[1].split("\n\n", 1)[0]
+    listed = [tuple(line.strip("| ").split(" | ")) for line in body.splitlines()]
+    defaults = dict(zip(("ell", "q"), verify.run_verify.__defaults__))
+    assert listed == [
+        (criterion, row, kind, str(first), str(ceiling), str(min(defaults[kind], ceiling)))
+        for (criterion, row), (kind, first, ceiling) in verify.DEPTHS.items()
+    ]
