@@ -317,7 +317,9 @@ def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "verify":
         from . import verify
 
-        report = verify.run_verify(_bound(args.max_ell, 6), _bound(args.max_q, 6))
+        # only the bounds given: the defaults live in run_verify alone
+        bounds = {k: v for k in ("max_ell", "max_q") if (v := getattr(args, k)) is not None}
+        report = verify.run_verify(**bounds)
         return [c._asdict() for c in report.claims], report.exit_code()
 
     raise CircfibError(f"unknown command {args.command!r}")

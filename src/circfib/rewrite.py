@@ -30,13 +30,14 @@ classes are the same), with one search per rotation orbit of classes.
 word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
 reconstruct the admissible representative of that pair's residue modulo
 (phi^n - 1) by a search over the 25 lattice offsets that a written bound
-allows around the quotient.  Each offset's candidate is the greedy
-Zeckendorf word of its valuation, checked by one sum for its y coordinate
-(the valuation then fixes x; the proof is next to the window proof).  What
-the decoder reads at a length is one small cached record,
-``_length_table``.  The public entry points validate once: ``normalize``
-and ``equivalent`` call ``as_word`` and pass the tuple to
-``_normalize_word``, which ``group.add`` also calls on its digit sum.  The
+allows around the quotient.  Of the offsets whose valuation is in range,
+an exact integer test of the pair's conjugate embedding picks the one pair
+that is the greedy Zeckendorf word of its valuation, so each decode builds
+one word (the proof is next to the window proof).  What the decoder reads
+at a length is one small cached record, ``_length_table``.  The public
+entry points validate once: ``normalize`` and ``equivalent`` call
+``as_word`` and pass the tuple to ``_normalize_word``, which ``group.add``
+also calls on its digit sum.  The
 routes are independent; ``verify.uniqueness_scan`` (criterion 3) checks the
 normalizer against ``move_classes`` over every {0,1,2}-word at lengths 4, 6
 and 8, and the tests check ``move_classes`` against ``orbit`` and against a
@@ -65,7 +66,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import _FIB_CACHE, Word, as_word, fib, zeckendorf
+from .fibcore import Word, as_word, fib, zeckendorf
 
 
 class _Move(NamedTuple):
@@ -301,18 +302,16 @@ def phi_pair(word) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def _length_table(n: int) -> tuple:
-    """What decoding at length n reads: (p, q, norm, max_value, ys) with
-    phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``,
-    max_value = fib(n) - 1 the largest valuation of n digits, and
-    ys[i] = fib(i-2) the y coordinate of phi^i."""
+    """What decoding at length n reads: (p, q, norm, max_value) with
+    phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``, and
+    max_value = fib(n) - 1 the largest valuation of n digits."""
     if n < 1:
         raise InvalidWordError(f"degenerate modulus at length {n}")
     p, q = fib(n - 3) - 1, fib(n - 2)  # phi^n = fib(n-3) + fib(n-2)*phi
     # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
     # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
     # L(n) >= 3 from n = 2 on.  So the denominator is its negation.
-    max_value = fib(n) - 1  # fib(n) also grows the cache that ys slices
-    return p, q, q * q - p * q - p * p, max_value, tuple(_FIB_CACHE[0:n])
+    return p, q, q * q - p * q - p * p, fib(n) - 1
 
 
 def _modulus_pair(n: int) -> tuple[int, int]:
@@ -356,22 +355,43 @@ def _iround(p: int, q: int) -> int:
 # The bound depends only on the fractional part of the quotient, so it
 # holds for pairs of any size.
 #
-# Each offset leaves a pair (ax, ay) to test.  Its one candidate word is the
-# Zeckendorf form of value = ax + 2*ay, built greedily, and one sum checks
-# it.  The candidate has the pair (ax, ay) exactly when its y coordinate is
-# ay, because equal y forces equal x:
+# Each offset leaves a pair (ax, ay) to test, and the conjugate window
+# picks the one to build: the greedy Zeckendorf word of value = ax + 2*ay
+# has the pair (ax, ay) exactly when the pair's conjugate embedding
+# ax + ay*conj(phi), conj(phi) = (1 - sqrt5)/2, lies in (-1, phi).  So at
+# most one word is built per decode:
 #
-# * phi^i = fib(i-3) + fib(i-2)*phi, so the y coordinate of a binary word is
-#   the sum of fib(i-2) = _FIB_CACHE[i] over its ones.
-# * fib(i) = fib(i-3) + 2*fib(i-2), so a word with pair (cx, cy) has
-#   valuation cx + 2*cy.  The greedy word for 1 <= value < fib(n) exists and
-#   has valuation value = ax + 2*ay, so cy == ay gives cx == ax.
+# * phi^i = fib(i-3) + fib(i-2)*phi and fib(i) = fib(i-3) + 2*fib(i-2), so
+#   a word with pair (cx, cy) has valuation cx + 2*cy, and the pairs of one
+#   valuation are those pairs plus k*(-2, 1) for the integers k.
+# * The greedy word for 1 <= value < fib(n) exists, has valuation value,
+#   and is binary, so its conjugate lies in (-1, phi) (first point above).
+# * (-2, 1) has conjugate -2 + conj(phi) = -phi^2, and phi^2 = phi - (-1)
+#   is the length of the interval, so every other pair of that valuation
+#   lies outside it.  Its endpoints are the conjugates of (-1, 0) and
+#   (1, -1), both of valuation -1, which the range check excludes anyway.
+#
+# On integers, with s = 2*ax + ay, twice the conjugate is s - ay*sqrt5, so
+# the window is s + 2 > ay*sqrt5 and s - 1 < (ay + 1)*sqrt5.
 _SEARCH_WINDOW = 2
 _OFFSETS = sorted(
     ((c1, c2) for c1 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)
      for c2 in range(-_SEARCH_WINDOW, _SEARCH_WINDOW + 1)),
     key=lambda c: (abs(c[0]) + abs(c[1]), max(abs(c[0]), abs(c[1])), c),
 )
+
+
+def _above_sqrt5(a: int, b: int) -> bool:
+    """a > b*sqrt(5), decided exactly on the integers a and b."""
+    if b < 0:  # the right side is negative: compare magnitudes when a is too
+        return a >= 0 or a * a < 5 * b * b
+    return a > 0 and a * a > 5 * b * b
+
+
+def _in_conjugate_window(x: int, y: int) -> bool:
+    """-1 < x + y*conj(phi) < phi, the conjugate window of greedy words."""
+    s = 2 * x + y
+    return _above_sqrt5(s + 2, y) and _above_sqrt5(1 - s, -y - 1)
 
 
 def residue_order(x: int, y: int, n: int) -> int:
@@ -390,24 +410,22 @@ def decode_pair(x: int, y: int, n: int) -> Word:
 
     A zero residue decodes to the identity (01)^(n/2).  Works for pairs of
     any size: the search runs around the rounded quotient, so only its
-    fractional part matters.  Each offset's candidate is the greedy
-    Zeckendorf word of its valuation, accepted when one sum shows that its
-    y coordinate matches (the x coordinate then matches too).  The window
-    is proven for even n, the only lengths callers pass; a miss raises
-    NormalizationError.
+    fractional part matters.  Of the offsets whose valuation is in range,
+    only the one whose conjugate lies in (-1, phi) has a greedy Zeckendorf
+    word with its pair, so one word is built.  The window is proven for
+    even n, the only lengths callers pass; a miss raises NormalizationError.
     """
     num1, num2, norm = _quotient(x, y, n)  # refuses n < 1 first
-    p, q, _, max_value, ys = _length_table(n)
+    p, q, _, max_value = _length_table(n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
+    # the input less the shift (q1 + q2*phi) * (p + q*phi)
+    x0, y0 = x - (q1 * p + q2 * q), y - (q1 * q + q2 * (p + q))
     for c1, c2 in _OFFSETS:
-        a, b = q1 + c1, q2 + c2  # the shift (a + b*phi) * (p + q*phi)
-        ax, ay = x - (a * p + b * q), y - (a * q + b * (p + q))
+        ax, ay = x0 - (c1 * p + c2 * q), y0 - (c1 * q + c2 * (p + q))
         value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
-        if value < 1 or value > max_value:
+        if value < 1 or value > max_value or not _in_conjugate_window(ax, ay):
             continue
-        candidate = zeckendorf(value, n)
-        if sum(itertools.compress(ys, candidate)) != ay:
-            continue
+        candidate = zeckendorf(value, n)  # has the pair (ax, ay)
         if candidate[0] == 1 and candidate[-1] == 1:
             continue  # linear Zeckendorf form, but not cyclically admissible
         return _canonical_identity(candidate)

@@ -256,6 +256,22 @@ def test_verify_ceiling_is_refused_before_any_criterion(capsys, monkeypatch, arg
     assert run_cli(capsys, *argv, "verify") == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, bounds",
+    [([], {}), (["--max-ell", "2"], {"max_ell": 2}), (["--max-q", "3"], {"max_q": 3})],
+)
+def test_verify_passes_only_the_bounds_given(capsys, monkeypatch, argv, bounds):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return verify.VerificationReport([])
+
+    monkeypatch.setattr(verify, "run_verify", record)
+    assert run_cli(capsys, *argv, "verify")[0] == 0
+    assert calls == [((), bounds)]
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_orbit_cap_below_one_is_refused(capsys, cap):
     assert run_cli(capsys, "orbit", "11", "--cap", cap) == (2, "", f"error: size cap {cap} below 1\n")

@@ -387,11 +387,40 @@ def _outcome(decode, x, y, n):
 @settings(max_examples=300, deadline=None)
 @given(_length_and_pair(lengths=(2, 4, 6, 24, 60, 240, 1000)))
 @example((4, (-12, 1)))  # the first candidate in range has the wrong pair
+# greedy pairs whose conjugate lies within 1e-3 of phi or of -1
+@example((16, (378, 609)))
+@example((16, (609, 987)))
+@example((18, (988, 1596)))
+@example((18, (1596, 2584)))
 def test_decode_pair_matches_pair_rebuilding_oracle(case):
-    # the one-sum candidate check accepts exactly the candidates whose
-    # rebuilt pair matches
+    # the conjugate window accepts exactly the candidates whose rebuilt pair
+    # matches
     n, (x, y) = case
     assert _outcome(rewrite.decode_pair, x, y, n) == _outcome(oracle_decode_pair, x, y, n)
+
+
+def test_conjugate_window_holds_exactly_the_greedy_pair_of_each_valuation():
+    # the pairs of one valuation differ by multiples of (-2, 1)
+    for n in range(2, 15, 2):
+        for value in range(1, fib(n)):
+            x, y = phi_pair(zeckendorf(value, n))
+            assert rewrite._in_conjugate_window(x, y), (n, value)
+            for k in (-3, -2, -1, 1, 2, 3):
+                assert not rewrite._in_conjugate_window(x - 2 * k, y + k), (n, value, k)
+
+
+def test_conjugate_window_is_open():
+    # (-1, 0) and (1, -1) have conjugates -1 and phi exactly
+    assert not rewrite._in_conjugate_window(-1, 0)
+    assert not rewrite._in_conjugate_window(1, -1)
+    assert rewrite._in_conjugate_window(0, 0)
+
+
+def test_above_sqrt5_matches_floats():
+    # a == b*sqrt5 only at a == b == 0, so floats decide every other case
+    for a in range(-60, 61):
+        for b in range(-30, 31):
+            assert rewrite._above_sqrt5(a, b) == (a > b * 5**0.5), (a, b)
 
 
 def test_decode_error_names_pair_and_length(monkeypatch):
