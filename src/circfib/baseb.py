@@ -64,6 +64,12 @@ def word_from_value(value: int, base: int, length: int) -> BaseBWord:
     return BaseBWord(tuple(reversed(digits)), base)
 
 
+def _class_word(value: int, base: int, length: int) -> BaseBWord:
+    """The word of value's class modulo base^length - 1.  That modulus is
+    the all-(b-1) word, so the zero word stands for its class."""
+    return word_from_value(value % (base**length - 1), base, length)
+
+
 def circ_add_base_b(u: BaseBWord, v: BaseBWord) -> BaseBWord:
     """Digit-wise addition with the final carry wrapped to the right end.
 
@@ -77,7 +83,10 @@ def circ_add_base_b(u: BaseBWord, v: BaseBWord) -> BaseBWord:
     b = u.base
     n = len(u.digits)
     digits = [x + y for x, y in zip(u.digits, v.digits)]
-    for _ in range(2 * n + 2):
+    # At most two passes: the sum is at most 2*(b^n - 1), so a first pass
+    # that carries out 1 leaves at most b^n - 2, and the wrapped 1 cannot
+    # carry out again.
+    while True:
         carry = 0
         for i in range(n - 1, -1, -1):
             digits[i] += carry
@@ -85,8 +94,6 @@ def circ_add_base_b(u: BaseBWord, v: BaseBWord) -> BaseBWord:
         if carry == 0:
             break
         digits[n - 1] += carry  # wrap the leftmost carry to the right end
-    else:
-        raise InvalidWordError("carry propagation failed to settle")
     if all(d == b - 1 for d in digits):
         digits = [0] * n
     return BaseBWord(tuple(digits), b)
@@ -117,11 +124,7 @@ def period_word(b: int, q: int) -> BaseBWord:
     mod q; for q = 1 the period is the single digit 0.
     """
     n = multiplicative_order(b, q)
-    value = (b**n - 1) // q
-    word = word_from_value(value, b, n)
-    if all(d == b - 1 for d in word.digits):
-        word = BaseBWord((0,) * n, b)
-    return word
+    return _class_word((b**n - 1) // q, b, n)
 
 
 class CyclicGroupReport(NamedTuple):
@@ -150,10 +153,6 @@ def verify_cyclic_group(b: int, q: int) -> CyclicGroupReport:
     for i in range(1, q + 1):
         if i > 1:
             acc = circ_add_base_b(acc, period)
-        if i == q:
-            expected = BaseBWord((0,) * n, b)  # the zero class
-        else:
-            expected = word_from_value(i * value, b, n)
-        ok = ok and acc == expected
+        ok = ok and acc == _class_word(i * value, b, n)
         multiples.append(acc)
     return CyclicGroupReport(tuple(multiples), ok)

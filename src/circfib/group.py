@@ -9,10 +9,11 @@ The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
 for odd l.  ``decompose`` certifies this empirically from the elements
 rather than assuming it.  ``certify_factors`` is the one two-generator
-certificate: ``decompose`` (criterion 2) and the order-q criterion call it;
-its ``cyclic_subgroup`` also serves ``orderq.pi_subgroup_index``.  Multiples
-and orders come from the residue in Z[phi] modulo (phi^n - 1), with
-iterated ``add`` as their oracle in the tests.
+certificate: ``decompose`` (criterion 2) and the order-q criterion call it.
+Multiples come from the residue in Z[phi] modulo (phi^n - 1), and orders
+of elements and of the subgroups two elements generate from
+``rewrite.span_order``, which decodes nothing; iterated ``add`` is their
+oracle in the tests.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .rewrite import (
     _normalize_word,
     decode_pair,
     phi_pair,
-    residue_order,
+    span_order,
 )
 
 DEFAULT_ENUM_BOUND = 10
@@ -143,17 +144,7 @@ def element_order(u) -> int:
     in the tests.
     """
     w = canonical(u)
-    return residue_order(*phi_pair(w), len(w))
-
-
-def cyclic_subgroup(w: Word) -> set[Word]:
-    """The multiples k*w of the element w for 0 <= k < its order.
-
-    Each is decoded from k times w's Z[phi] pair, and k = 0 gives the
-    identity; iterated ``add`` is the oracle in the tests.
-    """
-    x, y = phi_pair(w)
-    return {decode_pair(k * x, k * y, len(w)) for k in range(element_order(w))}
+    return span_order(len(w), phi_pair(w))
 
 
 def certify_factors(elements: list[Word]) -> tuple[int, int]:
@@ -161,9 +152,10 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
     certified by exhibiting two generators.
 
     Finds g1 of maximal order e1 (the exponent) and, unless the group is
-    cyclic, g2 of order e2 = order/e1 whose ``cyclic_subgroup`` meets <g1>
-    only in the identity.  Order d^2 with exponent d does not by itself force
-    Z/d x Z/d, so the second generator is required; failure raises
+    cyclic, g2 of order e2 = order/e1 with <g1> + <g2> of the full order.
+    That sum has e1 * e2 / |<g1> & <g2>| elements, so this is g2 meeting
+    <g1> only in the identity.  Order d^2 with exponent d does not by itself
+    force Z/d x Z/d, so the second generator is required; failure raises
     StructureMismatchError.
     """
     order = len(elements)
@@ -174,10 +166,9 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
     e2 = order // e1
     if e2 > 1:
         g1 = next(u for u, k in orders.items() if k == e1)
-        sub1 = cyclic_subgroup(g1)
-        # both subgroups hold the identity, so meeting only there is size 1
+        n, pair1 = len(g1), phi_pair(g1)
         if not any(
-            k == e2 and len(sub1 & cyclic_subgroup(g2)) == 1
+            k == e2 and span_order(n, pair1, phi_pair(g2)) == order
             for g2, k in orders.items()
         ):
             raise StructureMismatchError(

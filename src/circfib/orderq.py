@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
 from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
-from .group import add, canonical, cyclic_subgroup
-from .rewrite import _modulus_pair, _pair_mul, decode_pair, phi_pair
+from .group import add, canonical
+from .rewrite import _modulus_pair, _pair_mul, decode_pair, phi_pair, span_order
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -73,10 +73,9 @@ def primitive_period(u) -> Word:
     """Shortest word whose literal repetition equals the input."""
     w = as_word(u)
     n = len(w)
-    for p in range(1, n + 1):
+    for p in range(1, n + 1):  # returns by p = n, as w == w[:n] and n >= 1
         if n % p == 0 and w == w[:p] * (n // p):
             return w[:p]
-    return w
 
 
 def p_group(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> list[PeriodicElement]:
@@ -125,14 +124,13 @@ def oplus(u, v) -> Word:
 def pi_subgroup_index(q: int) -> int:
     """Index of the subgroup <P> + <P'> generated by the distinguished pair.
 
-    Reported, not asserted (1 means they generate).  The group is abelian,
-    so <P> + <P'> has |<P>| * |<P'>| / |<P> & <P'>| elements, with the
-    cyclic subgroups of ``group.cyclic_subgroup``; the closure of the q^2
-    sums i*P + j*P' is the oracle in the tests.
+    Reported, not asserted (1 means they generate).  The size of
+    <P> + <P'> is ``rewrite.span_order`` of the two pairs, read off the
+    lattice with no decoding; the closure of the q^2 sums i*P + j*P' is the
+    oracle in the tests.
     """
     pi, pi_prime = pi_words(q)
-    sub, sub_prime = cyclic_subgroup(pi), cyclic_subgroup(pi_prime)
-    span = len(sub) * len(sub_prime) // len(sub & sub_prime)
+    span = span_order(len(pi), phi_pair(pi), phi_pair(pi_prime))
     total = len(p_group(q))
     assert total % span == 0
     return total // span

@@ -45,10 +45,11 @@ union-find over the same moves.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
-its k = -1), ``group.cyclic_subgroup`` and ``orderq.multiples_match`` decode
-k times the pair once per multiple, and ``residue_order`` answers order
-questions with no decoding.  Iterated word-level ``group.add`` (digit sum,
-then ``normalize``) is their oracle in the tests.
+its k = -1) and ``orderq.multiples_match`` decode k times the pair once per
+multiple, and ``span_order`` counts the subgroup that pairs generate by the
+index of the lattice they span with the modulus, decoding nothing, for
+every element and subgroup order.  Iterated word-level ``group.add`` (digit
+sum, then ``normalize``) is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd
 from operator import or_
 from typing import NamedTuple
 
@@ -394,14 +395,23 @@ def _in_conjugate_window(x: int, y: int) -> bool:
     return _above_sqrt5(s + 2, y) and _above_sqrt5(1 - s, -y - 1)
 
 
-def residue_order(x: int, y: int, n: int) -> int:
-    """Least k >= 1 with k * (x + y*phi) divisible by phi^n - 1.
+def span_order(n: int, *pairs: tuple[int, int]) -> int:
+    """Order of the subgroup that the residues of the pairs generate at
+    length n; for one pair, the least k >= 1 with k times it in the lattice.
 
-    The quotient by phi^n - 1 is (num1 + num2*phi) / norm, so k must clear
-    the reduced denominator of both coordinates.
+    The group is Z^2 modulo the lattice spanned by phi^n - 1 = (p, q) and
+    phi*(phi^n - 1) = (q, p + q), of index norm.  With the pairs added, the
+    index is the gcd of all 2x2 minors: norm, each pair's minors with the
+    modulus rows (``_quotient``'s num1 and num2), and x*b - y*a for each two
+    pairs (x, y), (a, b).  The subgroup has norm / index elements.
     """
-    num1, num2, norm = _quotient(x, y, n)
-    return lcm(norm // gcd(num1, norm), norm // gcd(num2, norm))
+    index = norm = _length_table(n)[2]  # refuses n < 1 first
+    for i, (x, y) in enumerate(pairs):
+        num1, num2, _ = _quotient(x, y, n)
+        index = gcd(index, num1, num2)
+        for a, b in pairs[:i]:
+            index = gcd(index, x * b - y * a)
+    return norm // index
 
 
 def decode_pair(x: int, y: int, n: int) -> Word:

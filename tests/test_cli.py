@@ -372,6 +372,16 @@ def test_verify_default_golden_output(capsys):
     assert out == golden.read_text()
 
 
+def test_verify_deep_golden_output(capsys):
+    # stdout of `circfib --max-ell 10 --max-q 100 verify`, every row at its
+    # ceiling, byte for byte; criteria 2 and 6 certify groups there with
+    # `certify_factors` and `pi_subgroup_index`
+    golden = Path(__file__).parent / "data" / "verify_deep.tsv"
+    code, out, _ = run_cli(capsys, "--max-ell", "10", "--max-q", "100", "verify")
+    assert code == 0
+    assert out == golden.read_text()
+
+
 def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch):
     def no_scan(n):
         raise AssertionError(f"scanned the 2^{n} binary words")

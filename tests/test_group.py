@@ -15,7 +15,6 @@ from circfib.group import (
     add,
     canonical,
     certify_factors,
-    cyclic_subgroup,
     d_value,
     decompose,
     element_order,
@@ -27,7 +26,7 @@ from circfib.group import (
     repeat_morphism,
     scalar_mul,
 )
-from circfib.rewrite import equivalent, normalize
+from circfib.rewrite import equivalent, normalize, phi_pair, span_order
 
 A004146 = [1, 5, 16, 45, 121, 320, 841, 2205]
 
@@ -208,20 +207,37 @@ def test_element_order_matches_iterated_add():
             assert element_order(u) == expected, u
 
 
-def test_cyclic_subgroup_matches_iterated_add():
+def test_span_order_matches_iterated_add_on_every_pair():
     # the exponent is a multiple of every order, so these multiples by
-    # iterated add cover each cyclic subgroup
-    for ell in range(1, 6):
-        e = predicted_invariant_factors(ell)[0]
-        for u in enumerate_elements(ell):
-            assert cyclic_subgroup(u) == set(_multiples_by_add(u, e)), u
+    # iterated add cover each cyclic subgroup, and their sums cover the span
+    for ell in range(1, 4):
+        n, e = 2 * ell, predicted_invariant_factors(ell)[0]
+        elements = enumerate_elements(ell)
+        multiples = {u: set(_multiples_by_add(u, e)) for u in elements}
+        for u, v in itertools.product(elements, repeat=2):
+            span = {add(a, b) for a in multiples[u] for b in multiples[v]}
+            assert span_order(n, phi_pair(u), phi_pair(v)) == len(span), (u, v)
 
 
-def test_cyclic_subgroup_refuses_non_elements():
+def test_span_order_closed_forms():
+    # no pairs span the trivial group, the pair of 1 (the word 10...0)
+    # generates a cyclic subgroup of the exponent's order e1, and 1 with phi
+    # span the whole group, of order L(2l) - 2
+    lucas = [2, 1]
+    while len(lucas) <= 300:
+        lucas.append(lucas[-1] + lucas[-2])
+    for ell in range(1, 151):
+        n = 2 * ell
+        assert span_order(n) == 1, ell
+        assert span_order(n, (1, 0)) == predicted_invariant_factors(ell)[0], ell
+        assert span_order(n, (1, 0), (0, 1)) == lucas[n] - 2, ell
+
+
+def test_element_order_refuses_non_elements():
     with pytest.raises(InvalidWordError, match="not an admissible"):
-        cyclic_subgroup((1, 1, 0, 0))
+        element_order((1, 1, 0, 0))
     with pytest.raises(ZeroWordError):
-        cyclic_subgroup((0, 0, 0, 0))
+        element_order((0, 0, 0, 0))
 
 
 def test_element_orders_divide_exponent():

@@ -14,7 +14,7 @@ from circfib.fibcore import (
     zeckendorf,
 )
 from circfib.group import add, canonical, d_value, enumerate_elements, identity, scalar_mul
-from circfib.rewrite import phi_pair, residue_order
+from circfib.rewrite import phi_pair, span_order
 from circfib.orderq import (
     minimal_even_length,
     multiples_match,
@@ -138,7 +138,7 @@ def test_p_group_matches_enumeration_oracle():
         expected = []
         for w in enumerate_elements(n // 2, max_ell=12):
             x, y = phi_pair(w)
-            if residue_order(q * x, q * y, n) == 1:
+            if span_order(n, (q * x, q * y)) == 1:
                 expected.append(w)
         got = p_group(q)
         assert [e.word for e in got] == expected, q

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,7 +28,7 @@ from circfib.rewrite import (
     normalize,
     orbit,
     phi_pair,
-    residue_order,
+    span_order,
 )
 from circfib.verify import uniqueness_scan
 
@@ -323,7 +324,7 @@ def test_class_key_is_move_invariant():
     x, y = phi_pair(w)
     for move in applicable_moves(w):
         mx, my = phi_pair(apply_move(w, move))
-        assert residue_order(mx - x, my - y, len(w)) == 1, move
+        assert span_order(len(w), (mx - x, my - y)) == 1, move
 
 
 @st.composite
@@ -399,6 +400,59 @@ def test_decode_pair_matches_pair_rebuilding_oracle(case):
     assert _outcome(rewrite.decode_pair, x, y, n) == _outcome(oracle_decode_pair, x, y, n)
 
 
+def _window_candidates(x, y, n):
+    """The greedy words of the offsets that pass the range test and the
+    conjugate window, in ``_OFFSETS`` order, the order ``decode_pair`` tries."""
+    nu = rewrite._modulus_pair(n)
+    num1, num2, norm = rewrite._quotient(x, y, n)
+    q1, q2 = rewrite._iround(num1, norm), rewrite._iround(num2, norm)
+    out = []
+    for c1, c2 in rewrite._OFFSETS:
+        sx, sy = rewrite._pair_mul((q1 + c1, q2 + c2), nu)
+        ax, ay = x - sx, y - sy
+        value = ax + 2 * ay
+        if 1 <= value < fib(n) and rewrite._in_conjugate_window(ax, ay):
+            out.append(zeckendorf(value, n))
+    return out
+
+
+def _check_one_offset(x, y, n):
+    """Exactly one candidate passes the wrap-around test, or (01)^l and
+    (10)^l for the identity class, and every candidate that fails it comes
+    after the first that passes.  Returns whether one failed it."""
+    candidates = _window_candidates(x, y, n)
+    wraps = [w[0] == 1 and w[-1] == 1 for w in candidates]
+    passing = [w for w, wrap in zip(candidates, wraps) if not wrap]
+    decoded = rewrite.decode_pair(x, y, n)
+    if decoded == (0, 1) * (n // 2):
+        assert sorted(passing) == [(0, 1) * (n // 2), (1, 0) * (n // 2)], (x, y, n)
+    else:
+        assert passing == [decoded], (x, y, n)
+    assert not any(wraps[: wraps.index(False)]), (x, y, n)
+    return any(wraps)
+
+
+def test_exactly_one_offset_on_every_binary_word():
+    # every class has an admissible, hence binary, member; a wrap-failing
+    # candidate never comes first, so the decoder's wrap-around `continue`
+    # is not reached, but such candidates exist
+    wrapped = 0
+    for ell in range(1, 7):
+        for w in itertools.product((0, 1), repeat=2 * ell):
+            wrapped += _check_one_offset(*phi_pair(w), 2 * ell)
+    assert wrapped > 0
+
+
+def test_exactly_one_offset_on_large_pairs():
+    rnd = random.Random(1)
+    wrapped = 0
+    for n in (24, 60, 240, 1000):
+        for _ in range(500):
+            x, y = (rnd.randrange(-10**12 + 1, 10**12) for _ in range(2))
+            wrapped += _check_one_offset(x, y, n)
+    assert wrapped > 0
+
+
 def test_conjugate_window_holds_exactly_the_greedy_pair_of_each_valuation():
     # the pairs of one valuation differ by multiples of (-2, 1)
     for n in range(2, 15, 2):
@@ -463,10 +517,18 @@ def test_decode_at_more_lengths_than_the_record_cache_holds():
     assert decoded[-1] == decoded[lengths.index(8)]
 
 
-@pytest.mark.parametrize("decode, n", [(rewrite.decode_pair, 0), (residue_order, -2)])
-def test_degenerate_modulus_is_refused(decode, n):
+@pytest.mark.parametrize(
+    "refuse, n",
+    [
+        (lambda n: rewrite.decode_pair(1, 0, n), 0),
+        (lambda n: span_order(n, (1, 0)), -2),
+        (span_order, 0),
+    ],
+    ids=["decode_pair-0", "span_order--2", "span_order-no-pairs-0"],
+)
+def test_degenerate_modulus_is_refused(refuse, n):
     with pytest.raises(InvalidWordError, match=f"^degenerate modulus at length {n}$"):
-        decode(1, 0, n)
+        refuse(n)
 
 
 def test_equivalent():
