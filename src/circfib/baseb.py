@@ -100,9 +100,12 @@ def circ_add_base_b(u: BaseBWord, v: BaseBWord) -> BaseBWord:
 
 
 def multiplicative_order(b: int, q: int) -> int:
-    """Least n >= 1 with b^n congruent to 1 mod q; requires gcd(b, q) = 1."""
+    """Least n >= 1 with b^n congruent to 1 mod q; requires b > 1 and
+    gcd(b, q) = 1."""
     from math import gcd
 
+    if b < 2:  # first: at b = 1 the period's modulus b^n - 1 is 0
+        raise InvalidWordError(f"base must be > 1, got {b}")
     if q < 1:
         raise InvalidWordError(f"q must be >= 1, got {q}")
     if gcd(b, q) != 1:

@@ -1,9 +1,10 @@
 """The abelian group of admissible circular words of even length 2l.
 
 Carrier: admissible binary circular words of length 2l containing at least
-one 1, with (10)^l identified with (01)^l; the canonical representative of
-that identity class is (01)^l.  Addition is digit-wise sum followed by
-normalization; the zero word is excluded by construction and rejected.
+one 1, with (10)^l identified with (01)^l, the canonical representative
+(``canonical`` maps (10)^l to it; the decoder never yields (10)^l).
+Addition is digit-wise sum followed by normalization; the zero word is
+excluded by construction and rejected.
 
 The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
@@ -37,13 +38,7 @@ from .fibcore import (
     fib,
     iter_admissible,
 )
-from .rewrite import (
-    _canonical_identity,
-    _normalize_word,
-    decode_pair,
-    phi_pair,
-    span_order,
-)
+from .rewrite import _normalize_word, decode_pair, phi_pair, span_order
 
 DEFAULT_ENUM_BOUND = 10
 GCD_CHECK_BOUND = 200
@@ -65,7 +60,8 @@ def canonical(word) -> Word:
         raise ZeroWordError("the zero word is not a group element")
     if not _is_admissible(w):
         raise InvalidWordError(f"not an admissible circular word: {w}")
-    return _canonical_identity(w)
+    half = len(w) // 2
+    return (0, 1) * half if w == (1, 0) * half else w
 
 
 def add(u, v) -> Word:
@@ -156,10 +152,11 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
     That sum has e1 * e2 / |<g1> & <g2>| elements, so this is g2 meeting
     <g1> only in the identity.  Order d^2 with exponent d does not by itself
     force Z/d x Z/d, so the second generator is required; failure raises
-    StructureMismatchError.
+    StructureMismatchError.  Callers pass elements the engine built, so
+    each order is read off its pair with no second validation.
     """
     order = len(elements)
-    orders = {u: element_order(u) for u in elements}
+    orders = {u: span_order(len(u), phi_pair(u)) for u in elements}
     e1 = max(orders.values())
     if order % e1 != 0:
         raise StructureMismatchError(f"exponent {e1} does not divide order {order}")

@@ -92,7 +92,9 @@ def p_group(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> list[PeriodicElemen
     return list(_p_group_cached(q))
 
 
-@lru_cache(maxsize=16)
+# No cache (maxsize=0): a process asks for one q once.  An lru_cache only
+# because perfbench's tracer reads its cache_info() counters.
+@lru_cache(maxsize=0)
 def _p_group_cached(q: int) -> tuple[PeriodicElement, ...]:
     """Elements of order dividing q, in lexicographic word order.
 
@@ -100,9 +102,9 @@ def _p_group_cached(q: int) -> tuple[PeriodicElement, ...]:
     integral because F(n) and F(n-1) are 1 mod q at the canonical length,
     so q divides both coordinates of nu = phi^n - 1; two of them differ by
     a lattice vector only if their (a, b) agree modulo q, so these are
-    exactly the q-torsion elements, each once.  The test suite compares the
-    result with the full enumeration filtered by order and with a filter
-    built from iterated word-level ``add``.
+    exactly the q^2 elements of order dividing q, each once.  The test
+    suite compares the result with the full enumeration filtered by order
+    and with a filter built from iterated word-level ``add``.
     """
     n = minimal_even_length(q)
     nu_x, nu_y = _modulus_pair(n)
@@ -124,14 +126,14 @@ def oplus(u, v) -> Word:
 def pi_subgroup_index(q: int) -> int:
     """Index of the subgroup <P> + <P'> generated by the distinguished pair.
 
-    Reported, not asserted (1 means they generate).  The size of
-    <P> + <P'> is ``rewrite.span_order`` of the two pairs, read off the
-    lattice with no decoding; the closure of the q^2 sums i*P + j*P' is the
-    oracle in the tests.
+    Reported, not asserted (1 means they generate).  <P> + <P'> has
+    ``rewrite.span_order`` of the two pairs elements, and the order-q group
+    q^2 (``_p_group_cached``), so no decode and no bound on q; the closure
+    of the q^2 sums i*P + j*P' is the oracle in the tests.
     """
     pi, pi_prime = pi_words(q)
     span = span_order(len(pi), phi_pair(pi), phi_pair(pi_prime))
-    total = len(p_group(q))
+    total = q * q
     assert total % span == 0
     return total // span
 
@@ -184,13 +186,12 @@ def verify_pi_multiples(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> PiMulti
     the integer multiples; (b) rotating P' gives P; (c) no element of the
     order-q group besides P and P' satisfies (a).  The satisfier list is
     reported in full rather than asserted, so that any extra satisfier is
-    visible data.
+    visible data.  The bound is refused before any multiple is checked.
     """
+    elements = p_group(q, max_ell)
     pi, pi_prime = pi_words(q)
     multiples_ok = multiples_match(pi, q) and multiples_match(pi_prime, q)
-    satisfiers = tuple(
-        e.word for e in p_group(q, max_ell) if multiples_match(e.word, q)
-    )
+    satisfiers = tuple(e.word for e in elements if multiples_match(e.word, q))
     return PiMultiplesReport(
         pi=pi,
         pi_prime=pi_prime,

@@ -33,15 +33,16 @@ reconstruct the admissible representative of that pair's residue modulo
 allows around the quotient.  Of the offsets whose valuation is in range,
 an exact integer test of the pair's conjugate embedding picks the one pair
 that is the greedy Zeckendorf word of its valuation, so each decode builds
-one word (the proof is next to the window proof).  What the decoder reads
-at a length is one small cached record, ``_length_table``.  The public
-entry points validate once: ``normalize`` and ``equivalent`` call
-``as_word`` and pass the tuple to ``_normalize_word``, which ``group.add``
-also calls on its digit sum.  The
-routes are independent; ``verify.uniqueness_scan`` (criterion 3) checks the
-normalizer against ``move_classes`` over every {0,1,2}-word at lengths 4, 6
-and 8, and the tests check ``move_classes`` against ``orbit`` and against a
-union-find over the same moves.
+one word (the proof is next to the window proof), never (10)^l.  What the
+decoder reads at a length is one small cached record, ``_length_table``.
+The public entry points validate once: ``normalize`` and ``equivalent``
+call ``as_word``, ``group.add`` sums two validated words, and each hands
+the tuple to ``_normalize_word``, the one layer, which refuses an odd
+length and the zero word and decodes.  The routes are independent;
+``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
+``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
+tests check ``move_classes`` against ``orbit`` and against a union-find
+over the same moves.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
@@ -416,7 +417,7 @@ def span_order(n: int, *pairs: tuple[int, int]) -> int:
 
 def decode_pair(x: int, y: int, n: int) -> Word:
     """The admissible length-n word whose Z[phi] pair is congruent to
-    x + y*phi modulo phi^n - 1, with the identity canonicalized.
+    x + y*phi modulo phi^n - 1.
 
     A zero residue decodes to the identity (01)^(n/2).  Works for pairs of
     any size: the search runs around the rounded quotient, so only its
@@ -438,7 +439,11 @@ def decode_pair(x: int, y: int, n: int) -> Word:
         candidate = zeckendorf(value, n)  # has the pair (ax, ay)
         if candidate[0] == 1 and candidate[-1] == 1:
             continue  # linear Zeckendorf form, but not cyclically admissible
-        return _canonical_identity(candidate)
+        # Never (10)^(n/2), which lies only in the zero class: there the
+        # quotient is exact, offset (0, 0) leaves valuation 0, and (-1, 0)
+        # leaves phi^n - 1, of valuation fib(n) - 1 and conjugate
+        # phi^-n - 1 in (-1, 0), whose greedy word is (01)^(n/2).
+        return candidate
     raise NormalizationError(
         f"no admissible word of length {n} found for the pair ({x}, {y}); "
         "the uniqueness assumption may be violated"
@@ -454,6 +459,9 @@ def normalize(word) -> Word:
     return _normalize_word(as_word(word))
 
 
+# No cache (maxsize=0): an lru_cache only because perfbench's tracer reads
+# its cache_info() counters, under the second name _normalize_cached.
+@lru_cache(maxsize=0)
 def _normalize_word(w: Word) -> Word:
     """``normalize`` of a word tuple that ``as_word`` has already validated."""
     n = len(w)
@@ -461,22 +469,10 @@ def _normalize_word(w: Word) -> Word:
         raise InvalidWordError(f"normalization requires even length, got {n}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
-    return _normalize_cached(w)
+    return decode_pair(*phi_pair(w), n)
 
 
-# No cache (maxsize=0); kept as an lru_cache because perfbench's tracer
-# reads its cache_info() counters.
-@lru_cache(maxsize=0)
-def _normalize_cached(w: Word) -> Word:
-    return decode_pair(*phi_pair(w), len(w))
-
-
-def _canonical_identity(w: Word) -> Word:
-    half = len(w) // 2
-    # an odd length never matches: the repeated tuple is one digit short
-    if w == (1, 0) * half:
-        return (0, 1) * half
-    return w
+_normalize_cached = _normalize_word
 
 
 def equivalent(u, v) -> bool:

@@ -175,6 +175,15 @@ def test_gcd_check_bound(capsys):
     )
 
 
+@pytest.mark.parametrize("base", ["1", "0", "-3"])
+def test_demo_base_below_two_is_refused(capsys, base):
+    assert run_cli(capsys, "demo-base", "--base", base, "--q", "3") == (
+        2,
+        "",
+        f"error: base must be > 1, got {base}\n",
+    )
+
+
 def test_demo_base_bound(capsys):
     for q in ("501", "100003"):
         assert run_cli(capsys, "demo-base", "--base", "10", "--q", q) == (
@@ -389,6 +398,17 @@ def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch)
     monkeypatch.setattr(wheels, "iter_words_binary", no_scan)
     code, out, err = run_cli(capsys, "wheel", "--ell", "40", "--verify-bijection")
     assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
+
+
+def test_orderq_verify_bound_comes_before_the_multiples(capsys, monkeypatch):
+    from circfib import orderq
+
+    def no_check(w, q):
+        raise AssertionError(f"checked the multiples of a length-{len(w)} word")
+
+    monkeypatch.setattr(orderq, "multiples_match", no_check)
+    message = "error: canonical length 1996 for q=997 exceeds enumeration bound 2*12\n"
+    assert run_cli(capsys, "orderq", "--q", "997", "--verify") == (3, "", message)
 
 
 # stdout, stderr and exit code of invocations of every command and mode,

@@ -17,6 +17,7 @@ from math import isqrt
 
 from hypothesis import given, settings, strategies as st
 
+from circfib.orderq import minimal_even_length, pi_words
 from circfib.rewrite import decode_pair, phi_pair
 
 
@@ -65,3 +66,23 @@ def test_expansion_oracle_matches_decoder_on_every_binary_word():
 )
 def test_expansion_oracle_matches_decoder_on_large_pairs(ell, x, y):
     assert expansion_decode(x, y, 2 * ell) == decode_pair(x, y, 2 * ell)
+
+
+def test_pi_is_the_period_of_the_expansion_of_one_over_q():
+    # the golden-ratio analogue of 1/7 = 0.(142857): the greedy expansion of
+    # 1/q returns to 1/q after n digits, which read back to front are P
+    checked = 0
+    for q in range(2, 200):
+        n = minimal_even_length(q)
+        if n > 120:
+            continue
+        a, b, digits = 1, 0, []  # u = (a + b*phi) / q, from u = 1/q
+        for _ in range(n):
+            a, b = b, a + b  # u -> phi*u
+            digit = _floor(a, b, q)
+            digits.append(digit)
+            a -= digit * q
+        assert (a, b) == (1, 0), q
+        assert tuple(reversed(digits)) == pi_words(q)[0], q
+        checked += 1
+    assert checked == 130

@@ -20,6 +20,7 @@ from circfib.fibcore import (
     valuation,
     zeckendorf,
 )
+from circfib.group import canonical
 from circfib.rewrite import (
     Move,
     apply_move,
@@ -371,7 +372,7 @@ def oracle_decode_pair(x, y, n):
             continue
         if candidate[0] == 1 and candidate[-1] == 1:
             continue
-        return rewrite._canonical_identity(candidate)
+        return canonical(candidate)
     raise NormalizationError(
         f"no admissible word of length {n} found for the pair ({x}, {y}); "
         "the uniqueness assumption may be violated"
@@ -537,3 +538,23 @@ def test_equivalent():
     assert not equivalent(parse_word("1000"), parse_word("0001"))
     with pytest.raises(InvalidWordError):
         equivalent(parse_word("01"), parse_word("0101"))
+
+
+def test_every_lattice_point_decodes_to_the_identity():
+    # a zero residue decodes at offset (-1, 0), to (01)^l, never to (10)^l
+    rnd = random.Random(19)
+    for n in range(2, 201, 2):
+        nu = rewrite._modulus_pair(n)
+        km = [(rnd.randrange(-10**12 + 1, 10**12), rnd.randrange(-10**12 + 1, 10**12)) for _ in range(50)]
+        for x, y in [(0, 0)] + [rewrite._pair_mul(c, nu) for c in km]:
+            assert rewrite.decode_pair(x, y, n) == (0, 1) * (n // 2), (x, y, n)
+
+
+def test_identity_offset_comes_before_its_mirror():
+    # on a lattice point the rounded quotient is exact, so offset c leaves
+    # the pair -c*(phi^n - 1); (01)^l's offset is tried before (10)^l's
+    for n in range(2, 201, 2):
+        nu = rewrite._modulus_pair(n)
+        pairs = [tuple(-v for v in rewrite._pair_mul(c, nu)) for c in rewrite._OFFSETS]
+        ones_odd, ones_even = phi_pair((0, 1) * (n // 2)), phi_pair((1, 0) * (n // 2))
+        assert pairs.index(ones_odd) < pairs.index(ones_even), n
