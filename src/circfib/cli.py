@@ -188,7 +188,7 @@ def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "group":
         bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
-            return [{"ell": args.ell, "order": len(group.enumerate_elements(args.ell, bound))}], 0
+            return [{"ell": args.ell, "order": group.decompose(args.ell, bound).order}], 0
         if args.list:
 
             def elements():
@@ -336,7 +336,16 @@ def main(argv=None) -> int:
     except (CircfibError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = render(records, args.format)
+    # since Python 3.10.7 str() refuses ints above 4,300 digits (group orders
+    # from ell = 10,288); lift that for printing only, not for parsing
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        out = render(records, args.format)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if out:
         print(out)
     return code

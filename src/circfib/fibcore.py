@@ -23,19 +23,24 @@ import threading
 from itertools import accumulate, product, repeat
 from operator import add, eq, sub
 
-from .errors import CapacityError, InvalidWordError
+from .errors import CapacityError, InvalidWordError, ResourceBoundError
 
 Word = tuple[int, ...]
 
 _FIB_CACHE = [0, 1, 1, 2]  # _FIB_CACHE[k + 2] == fib(k), seeded from F(-2)
 _FIB_LOCK = threading.Lock()
+# The table through fib(k) holds about 0.35*k^2 bits (434 MB at k = 10^5),
+# and a word of length n reads it through fib(n): longer ones are refused.
+FIB_CEILING = 10**5
 
 
 def fib(k: int) -> int:
-    """Fibonacci number Fk with F0 = 1, F1 = 2; defined for k >= -2."""
+    """Fibonacci number Fk with F0 = 1, F1 = 2; defined for -2 <= k <= FIB_CEILING."""
     if k < -2:
         raise InvalidWordError(f"fib index must be >= -2, got {k}")
     if len(_FIB_CACHE) <= k + 2:
+        if k > FIB_CEILING:
+            raise ResourceBoundError(f"length {k} exceeds the Fibonacci table ceiling {FIB_CEILING}")
         with _FIB_LOCK:
             while len(_FIB_CACHE) <= k + 2:
                 _FIB_CACHE.append(_FIB_CACHE[-1] + _FIB_CACHE[-2])

@@ -8,13 +8,13 @@ excluded by construction and rejected.
 
 The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
-for odd l.  ``decompose`` certifies this empirically from the elements
-rather than assuming it.  ``certify_factors`` is the one two-generator
-certificate: ``decompose`` (criterion 2) and the order-q criterion call it.
-Multiples come from the residue in Z[phi] modulo (phi^n - 1), and orders
-of elements and of the subgroups two elements generate from
-``rewrite.span_order``, which decodes nothing; iterated ``add`` is their
-oracle in the tests.
+for odd l.  ``decompose`` reads the order and the invariant factors off the
+lattice of Z[phi]/(phi^n - 1) with ``rewrite.span_order``, which decodes
+nothing.  ``certify_factors`` is the one two-generator certificate, built
+from a list of elements; the verification suite runs it on the enumerated
+group (criterion 2) and on the order-q group (criterion 6).  Multiples come
+from the residue in Z[phi] modulo (phi^n - 1), and orders of elements from
+``span_order``; iterated ``add`` is their oracle in the tests.
 """
 
 from __future__ import annotations
@@ -176,20 +176,19 @@ def certify_factors(elements: list[Word]) -> tuple[int, int]:
 
 
 def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
-    """Empirical invariant factors of the group of parameter l.
+    """Order and invariant factors (e1, e2) of the group of parameter l,
+    read off the lattice of ``rewrite.span_order`` with no enumeration.
 
-    ``certify_factors`` certifies them from the enumerated elements by two
-    generators; its failure raises StructureMismatchError, as does
-    disagreement with the predicted decomposition.
+    1 and phi generate the group, so the order is their span, the index
+    norm.  The lattice rows (p, q) and (q, p + q) have entry gcd g, so the
+    factors are (norm / g, g); the residue of 1 has index gcd(norm, p + q,
+    q) = g, so its order is the exponent e1.  The bound is still refused.
     """
-    elements = enumerate_elements(ell, max_ell)
-    result = GroupStructure(len(elements), certify_factors(elements), d_value(ell))
-    expected = predicted_invariant_factors(ell)
-    if result.invariant_factors != expected:
-        raise StructureMismatchError(
-            f"ell={ell}: computed factors {result.invariant_factors}, expected {expected}"
-        )
-    return result
+    if ell < 1:
+        raise InvalidWordError(f"ell must be >= 1, got {ell}")
+    check_enum_bound(ell, max_ell)
+    order, e1 = span_order(2 * ell, (1, 0), (0, 1)), span_order(2 * ell, (1, 0))
+    return GroupStructure(order, (e1, order // e1), d_value(ell))
 
 
 def repeat_morphism(u, n: int) -> Word:

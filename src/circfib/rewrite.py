@@ -309,11 +309,12 @@ def _length_table(n: int) -> tuple:
     max_value = fib(n) - 1 the largest valuation of n digits."""
     if n < 1:
         raise InvalidWordError(f"degenerate modulus at length {n}")
+    top = fib(n)  # first, so a length past the table's ceiling grows nothing
     p, q = fib(n - 3) - 1, fib(n - 2)  # phi^n = fib(n-3) + fib(n-2)*phi
     # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
     # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
     # L(n) >= 3 from n = 2 on.  So the denominator is its negation.
-    return p, q, q * q - p * q - p * p, fib(n) - 1
+    return p, q, q * q - p * q - p * p, top - 1
 
 
 def _modulus_pair(n: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import InvalidWordError
 from .fibcore import Word, as_word, iter_words_binary
-from .group import DEFAULT_ENUM_BOUND, add, check_enum_bound, enumerate_elements, identity
+from .group import DEFAULT_ENUM_BOUND, add, check_enum_bound, decompose, identity
 from .rewrite import normalize
 
 
@@ -234,5 +234,4 @@ def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> Identi
     for w in tree_words:
         element = normalize(w)
         fiber[element] = fiber.get(element, 0) + 1
-    order = len(enumerate_elements(ell, max_ell))
-    return IdentityFiberReport(ell, tree_words, order, fiber)
+    return IdentityFiberReport(ell, tree_words, decompose(ell, max_ell).order, fiber)

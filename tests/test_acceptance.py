@@ -158,7 +158,9 @@ def test_negative_control_corrupted_d_formula(monkeypatch):
     report = verify.run_verify(max_ell=5, max_q=2)
     assert not report.ok
     assert report.exit_code() == 1
-    assert any("structure ell=5" == c.subject for c in report.failures)
+    assert [c.detail for c in report.failures if c.criterion == "2"] == [
+        "certified (11, 11), predicted (12, 12)"
+    ]
 
 
 def test_non_associative_law_is_caught(monkeypatch):

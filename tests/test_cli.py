@@ -215,6 +215,47 @@ def test_resource_bound_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, length",
+    [
+        (["orderq", "--q", "499973", "--pi"], 333316),  # the canonical length
+        (["--max-ell", "1000000", "group", "--ell", "1000000", "--structure"], 2000000),
+        (["reduce", "1" + "0" * 100001], 100002),
+    ],
+    ids=["orderq-pi", "group-structure", "reduce"],
+)
+def test_length_past_the_fibonacci_ceiling_is_refused(capsys, argv, length):
+    message = f"error: length {length} exceeds the Fibonacci table ceiling 100000\n"
+    assert run_cli(capsys, *argv) == (3, "", message)
+
+
+def test_group_order_of_any_size_is_printed():
+    # L(40000) - 2 has 8,360 digits, past the 4,300 that str() allows by
+    # default since Python 3.10.7; a subprocess keeps the test's own
+    # Fibonacci table small.  Decimal turns it into text with no such limit.
+    from decimal import Decimal
+
+    lucas = [2, 1]
+    for _ in range(40000 - 1):
+        lucas = [lucas[1], lucas[0] + lucas[1]]
+    order = str(Decimal(lucas[1] - 2))
+    assert len(order) == 8360
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    argv = ["--max-ell", "20000", "group", "--ell", "20000", "--count"]
+    done = subprocess.run(
+        [sys.executable, "-m", "circfib", *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"ell\torder\n20000\t{order}\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit before 3.10.7")
+def test_integer_text_past_the_limit_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "--ell", "1" * 5000, "--count"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_fibword_bound(capsys):
     # the prefix has F(2l-2) letters, so the bound is what keeps a large --ell finite
     assert run_cli(capsys, "fibword", "--ell", "11", "--partition") == (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from circfib import fibcore
-from circfib.errors import CapacityError, InvalidWordError
+from circfib.errors import CapacityError, InvalidWordError, ResourceBoundError
 from circfib.fibcore import (
     as_word,
     check_balanced,
@@ -53,6 +53,15 @@ def test_fib_large_exact():
     # exact integers well past 64-bit range
     assert fib(200) == fib(199) + fib(198)
     assert fib(200) > 2**128
+
+
+def test_fib_refuses_to_grow_past_its_ceiling():
+    size = len(fibcore._FIB_CACHE)
+    with pytest.raises(ResourceBoundError, match="length 100001 exceeds the Fibonacci table ceiling"):
+        fib(fibcore.FIB_CEILING + 1)
+    with pytest.raises(ResourceBoundError):
+        zeckendorf(1, 10**6)
+    assert len(fibcore._FIB_CACHE) == size
 
 
 def test_classical_fib():

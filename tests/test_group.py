@@ -166,11 +166,32 @@ def test_decompose_examples():
 
 
 def test_decompose_matches_prediction():
-    for ell in range(2, 7):
+    # the lattice reading against the enumerated group and its certificate
+    for ell in range(1, 11):
         s = decompose(ell)
+        elements = enumerate_elements(ell)
+        assert s.order == len(elements), ell
+        assert s.invariant_factors == certify_factors(elements), ell
         assert s.invariant_factors == predicted_invariant_factors(ell)
         assert s.invariant_factors[0] * s.invariant_factors[1] == s.order
         assert s.invariant_factors[0] % s.invariant_factors[1] == 0
+
+
+def test_decompose_enumerates_nothing(monkeypatch, capsys):
+    from circfib import cli, group, wheels
+
+    def refuse(*args):
+        raise AssertionError("enumerated or certified")
+
+    monkeypatch.setattr(group, "enumerate_elements", refuse)
+    monkeypatch.setattr(group, "certify_factors", refuse)
+    assert decompose(10) == GroupStructure(15125, (275, 55), 55)
+    assert cli.main(["group", "--ell", "10", "--count"]) == 0
+    assert cli.main(["group", "--ell", "10", "--structure"]) == 0
+    assert capsys.readouterr().out == (
+        "ell\torder\n10\t15125\nell\torder\te1\te2\td\n10\t15125\t275\t55\t55\n"
+    )
+    assert wheels.identity_fiber_report(6).group_order == 320
 
 
 def test_element_order():
@@ -231,6 +252,8 @@ def test_span_order_closed_forms():
         assert span_order(n) == 1, ell
         assert span_order(n, (1, 0)) == predicted_invariant_factors(ell)[0], ell
         assert span_order(n, (1, 0), (0, 1)) == lucas[n] - 2, ell
+        expected = predicted_invariant_factors(ell)
+        assert decompose(ell, max_ell=ell) == (lucas[n] - 2, expected, d_value(ell)), ell
 
 
 def test_element_order_refuses_non_elements():
