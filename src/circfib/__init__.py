@@ -3,8 +3,8 @@
 The package is organized around plain tuples of nonnegative ints as words:
 
 * :mod:`circfib.fibcore` -- numeration conventions, digit words, the
-  valuation, the greedy codec, admissibility, rotation, the infinite
-  binary word;
+  pair codec (a word's Z[phi] pair and the valuation read off it), the
+  greedy codec, admissibility, rotation, the infinite binary word;
 * :mod:`circfib.rewrite` -- the two rewriting moves, orbit search, and the
   normal form;
 * :mod:`circfib.group` -- the finite abelian groups of admissible words

@@ -1,4 +1,4 @@
-"""Fibonacci numeration primitives, digit words, and the infinite binary word.
+"""Fibonacci numeration: digit words, the pair codec, the infinite binary word.
 
 Conventions used throughout the package:
 
@@ -65,10 +65,21 @@ def as_word(digits) -> Word:
     return w
 
 
+def phi_pair(word) -> tuple[int, int]:
+    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi, by
+    Horner's rule from the top digit: phi*(x + y*phi) = y + (x + y)*phi."""
+    x = y = 0
+    for d in reversed(tuple(word)):  # any iterable of ints; callers validate
+        x, y = y + d, x + y
+    return x, y
+
+
 def valuation(word) -> int:
-    """Sum of digit * F(index) over the word, read positionally."""
-    w = as_word(word)
-    return sum(d * fib(i) for i, d in enumerate(w) if d)
+    """Sum of digit * F(index) over the word, read positionally: x + 2y of
+    its ``phi_pair`` (x, y), as phi^i = F(i-3) + F(i-2)*phi and F(i) =
+    F(i-3) + 2*F(i-2)."""
+    x, y = phi_pair(as_word(word))
+    return x + 2 * y
 
 
 def zeckendorf(n: int, length: int) -> Word:

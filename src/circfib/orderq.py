@@ -27,7 +27,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
-from .fibcore import Word, as_word, fib, is_admissible, rotate, valuation, zeckendorf
+from .fibcore import Word, as_word, fib, is_admissible, rotate, zeckendorf
 from .group import add, canonical
 from .rewrite import _modulus_pair, _pair_mul, decode_pair, phi_pair, span_order
 
@@ -165,8 +165,8 @@ def multiples_match(w: Word, q: int) -> bool:
     compared in canonical form.
     """
     n = len(w)
-    value = valuation(w)
     x, y = phi_pair(w)
+    value = x + 2 * y  # valuation(w)
     for i in range(1, q + 1):
         if i * value >= fib(n):
             return False

@@ -27,18 +27,19 @@ bitsets, stepping through the rule A moves both ways at digit cap 3 (at
 that cap a rule B move is a composition of two rule A moves, so the
 classes are the same), with one search per rotation orbit of classes.
 ``normalize`` is the production normalizer and has one route: validate the
-word, map it to its pair in Z[phi] (``phi_pair``), and let ``decode_pair``
-reconstruct the admissible representative of that pair's residue modulo
-(phi^n - 1) by a search over the 25 lattice offsets that a written bound
-allows around the quotient.  Of the offsets whose valuation is in range,
-an exact integer test of the pair's conjugate embedding picks the one pair
-that is the greedy Zeckendorf word of its valuation, so each decode builds
-one word (the proof is next to the window proof), never (10)^l.  What the
-decoder reads at a length is one small cached record, ``_length_table``.
-The public entry points validate once: ``normalize`` and ``equivalent``
-call ``as_word``, ``group.add`` sums two validated words, and each hands
-the tuple to ``_normalize_word``, the one layer, which refuses an odd
-length and the zero word and decodes.  The routes are independent;
+word, map it to its pair in Z[phi] (``fibcore.phi_pair``), and let
+``decode_pair`` reconstruct the admissible representative of that pair's
+residue modulo (phi^n - 1) by a search over the 25 lattice offsets that a
+written bound allows around the quotient.  Of the offsets whose valuation
+is in range, an exact integer test of the pair's conjugate embedding picks
+the one pair that is the greedy Zeckendorf word of its valuation, so each
+decode builds one word (the proof is next to the window proof), never
+(10)^l.  What the decoder reads at a length is one small cached record,
+``_length_table``.  The public entry points validate once: ``normalize``
+and ``equivalent`` call ``as_word``, ``group.add`` sums two validated
+words, and each hands the tuple to ``_normalize_word``, the one layer,
+which refuses an odd length, the zero word and a length past the Fibonacci
+ceiling, and decodes.  The routes are independent;
 ``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
 ``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
 tests check ``move_classes`` against ``orbit`` and against a union-find
@@ -68,7 +69,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import Word, as_word, fib, zeckendorf
+from .fibcore import Word, as_word, fib, phi_pair, zeckendorf
 
 
 class _Move(NamedTuple):
@@ -277,29 +278,14 @@ def _bits(codes: int) -> list[int]:
 # Sending the digit at position i to phi^i identifies a length-n circular
 # word with an element of Z[phi] modulo the ideal generated by phi^n - 1,
 # because both rules rewrite along identities that hold for the powers of
-# phi and the wrap identifies phi^n with 1.  Elements of Z[phi] are stored
-# as integer pairs (x, y) meaning x + y*phi.
+# phi and the wrap identifies phi^n with 1.  Elements of Z[phi] are pairs
+# (x, y) meaning x + y*phi; ``fibcore.phi_pair`` maps a word to its pair.
 
 
 def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     x, y = a
     u, v = b
     return (x * u + y * v, x * v + y * u + y * v)
-
-
-def phi_pair(word) -> tuple[int, int]:
-    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi.
-
-    Takes any sequence of ints; callers pass validated words.
-    """
-    x = y = 0
-    fa, fb = 1, 0  # phi^i == fa + fb*phi, starting at i = 0
-    for d in word:
-        if d:
-            x += d * fa
-            y += d * fb
-        fa, fb = fb, fa + fb
-    return x, y
 
 
 @lru_cache(maxsize=64)
@@ -364,9 +350,9 @@ def _iround(p: int, q: int) -> int:
 # ax + ay*conj(phi), conj(phi) = (1 - sqrt5)/2, lies in (-1, phi).  So at
 # most one word is built per decode:
 #
-# * phi^i = fib(i-3) + fib(i-2)*phi and fib(i) = fib(i-3) + 2*fib(i-2), so
-#   a word with pair (cx, cy) has valuation cx + 2*cy, and the pairs of one
-#   valuation are those pairs plus k*(-2, 1) for the integers k.
+# * A word with pair (cx, cy) has valuation cx + 2*cy (``valuation``), so
+#   the pairs of one valuation are those pairs plus k*(-2, 1) for the
+#   integers k.
 # * The greedy word for 1 <= value < fib(n) exists, has valuation value,
 #   and is binary, so its conjugate lies in (-1, phi) (first point above).
 # * (-2, 1) has conjugate -2 + conj(phi) = -phi^2, and phi^2 = phi - (-1)
@@ -470,6 +456,7 @@ def _normalize_word(w: Word) -> Word:
         raise InvalidWordError(f"normalization requires even length, got {n}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
+    _length_table(n)  # refuses a length past the Fibonacci ceiling before encoding
     return decode_pair(*phi_pair(w), n)
 
 

@@ -4,11 +4,12 @@ import sys
 import threading
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circfib import fibcore
 from circfib.errors import CapacityError, InvalidWordError, ResourceBoundError
 from circfib.fibcore import (
+    alternating_word,
     as_word,
     check_balanced,
     classical_fib,
@@ -20,6 +21,7 @@ from circfib.fibcore import (
     iter_words_binary,
     letter_counts,
     parse_word,
+    phi_pair,
     rotate,
     valuation,
     zeckendorf,
@@ -75,6 +77,50 @@ def test_valuation_examples():
     assert valuation(parse_word("0010")) == 3
     assert valuation(parse_word("010101")) == 20
     assert valuation(parse_word("0002")) == 10
+
+
+def _phi_pair_by_fibonacci_pairs(word):
+    # the pair loop from the low digit, carrying phi^i == fa + fb*phi,
+    # before phi_pair read the word by Horner's rule
+    x = y = 0
+    fa, fb = 1, 0
+    for d in word:
+        if d:
+            x += d * fa
+            y += d * fb
+        fa, fb = fb, fa + fb
+    return x, y
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=2000),
+    st.sampled_from([tuple, list, iter]),
+)
+@settings(deadline=None)
+@example([0], tuple)
+@example([10**9] * 2000, iter)
+def test_pair_codec_matches_fibonacci_oracles(digits, form):
+    x, y = phi_pair(form(digits))
+    assert (x, y) == _phi_pair_by_fibonacci_pairs(digits)
+    value = valuation(form(digits))
+    assert value == sum(d * fib(i) for i, d in enumerate(digits))
+    assert value == x + 2 * y
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: zeckendorf(0, 0), "length must be >= 1, got 0"),
+        (lambda: alternating_word(0), "length must be >= 1, got 0"),
+        (lambda: alternating_word(4, first=2), "first digit must be 0 or 1"),
+        (lambda: fibonacci_word_prefix(-1), "prefix length must be nonnegative, got -1"),
+    ],
+    ids=["zeckendorf-length-0", "alternating-length-0", "alternating-first-2", "prefix--1"],
+)
+def test_codec_input_checks(call, message):
+    with pytest.raises(InvalidWordError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_zeckendorf_examples():

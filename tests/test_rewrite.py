@@ -9,6 +9,7 @@ from circfib.errors import (
     InapplicableMoveError,
     InvalidWordError,
     NormalizationError,
+    ResourceBoundError,
     ZeroWordError,
 )
 from circfib.fibcore import (
@@ -169,6 +170,16 @@ def test_normalize_errors():
         normalize(parse_word("111"))
     with pytest.raises(ZeroWordError):
         normalize(parse_word("0000"))
+
+
+def test_length_past_the_ceiling_is_refused_before_encoding(monkeypatch):
+    def no_encoding(word):
+        raise AssertionError("phi_pair ran before the ceiling check")
+
+    monkeypatch.setattr(rewrite, "phi_pair", no_encoding)
+    message = "^length 100002 exceeds the Fibonacci table ceiling 100000$"
+    with pytest.raises(ResourceBoundError, match=message):
+        normalize((1,) * 100_002)
 
 
 def test_normalize_canonicalizes_identity_form():
