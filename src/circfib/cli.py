@@ -16,7 +16,9 @@ the verification suite.
 
 The records that `dispatch` returns hold values (words, ints, bools,
 strings, base-b words); `_text`, which `render` and the disk-cache store
-use, is the one place where a value becomes text.
+use, is the one place where a value becomes text.  It prints words with
+`fibcore._format_word`, which trusts them: every word in a record is one
+that `parse_word` validated or the engine built.
 """
 
 from __future__ import annotations
@@ -26,20 +28,21 @@ import sys
 
 from . import group
 from .errors import CircfibError, ResourceBoundError
-from .fibcore import format_word, parse_word
+from .fibcore import _format_word, parse_word
 from .rewrite import normalize, orbit
 
 Record = dict[str, object]
 
 
 def _text(value) -> str:
-    """The one rule for printing a record value: a plain tuple is a word, a
-    bool is a check status, anything else (ints, BaseBWord) its str."""
+    """The one rule for printing a record value: a plain tuple is a word,
+    printed by the trusting ``_format_word``, a bool is a check status,
+    anything else (ints, BaseBWord) its str."""
     kind = type(value)
     if kind is str:  # first, because cached records are all text
         return value
     if kind is tuple:
-        return format_word(value)
+        return _format_word(value)
     if kind is bool:
         return "pass" if value else "fail"
     return str(value)
@@ -146,11 +149,12 @@ def _bound(value: int | None, default: int) -> int:
 
 
 def _cached_records(args, bound: int, name: str, compute):
-    """The records of an ell-keyed table, read from the disk cache when one
-    is set.  The bound is refused first, whatever the cache holds."""
+    """The records of an ell-keyed listing, read from the disk cache when
+    one is set.  The bound and the listing ceiling are refused first,
+    whatever the cache holds."""
     from . import cache
 
-    group.check_enum_bound(args.ell, bound)
+    group.check_listing_bound(args.ell, bound)
     directory = args.cache_dir or cache.cache_dir_from_env()
     if directory is None:
         return compute()

@@ -149,10 +149,17 @@ def parse_word(text: str) -> Word:
 
 def format_word(word) -> str:
     """Inverse of parse_word: contiguous digits when all are <= 9."""
-    w = as_word(word)
-    if all(d <= 9 for d in w):
-        return "".join(str(d) for d in w)
-    return ",".join(str(d) for d in w)
+    return _format_word(as_word(word))
+
+
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _format_word(w: Word) -> str:
+    """``format_word`` of a word tuple that ``as_word`` has already validated."""
+    if max(w) <= 9:
+        return bytes(w).translate(_DIGIT_TEXT).decode()
+    return ",".join(map(str, w))
 
 
 _WORD_ITERATE = "abaababa"
@@ -215,22 +222,24 @@ def iter_admissible(n: int):
     """Yield all cyclically admissible binary words of length n in lex order.
 
     Includes the zero word.  The count over all of them is the n-th Lucas
-    number (for n >= 2).
+    number (for n >= 2).  Each word is a head of length n // 2 joined to a
+    tail of length n - n // 2, both linearly admissible, so beside its
+    output the generator holds O(phi^(n/2)) words and recurses nowhere.
     """
     if n < 1:
         raise InvalidWordError(f"length must be >= 1, got {n}")
-    prefix = [0] * n
-
-    def rec(i: int):
-        if i == n:
-            if not (prefix[0] == 1 and prefix[-1] == 1):
-                yield tuple(prefix)
-            return
-        prefix[i] = 0
-        yield from rec(i + 1)
-        if i == 0 or prefix[i - 1] == 0:
-            prefix[i] = 1
-            yield from rec(i + 1)
-            prefix[i] = 0
-
-    yield from rec(0)
+    if n == 1:  # position 0 is its own neighbour
+        yield (0,)
+        return
+    half, rest = n // 2, n - n // 2
+    # shorter, tails: the words of lengths k - 1 and k with no adjacent ones,
+    # in lex order, so the first len(shorter) tails start with 0
+    shorter, tails = [()], [(0,), (1,)]
+    for _ in range(rest - 1):
+        shorter, tails = tails, [(0,) + w for w in tails] + [(1, 0) + w for w in shorter]
+    after_one = tails[: len(shorter)]
+    # fits[head[0]][head[-1]]: a head ending in 1 takes the tails that start
+    # with 0, and one starting with 1 only the tails that end with 0
+    fits = ((tails, after_one), tuple([t for t in f if not t[-1]] for f in (tails, after_one)))
+    for head in tails if half == rest else shorter:
+        yield from map(head.__add__, fits[head[0]][head[-1]])

@@ -25,7 +25,14 @@ from typing import NamedTuple
 
 from .errors import InvalidWordError
 from .fibcore import Word, as_word, iter_words_binary
-from .group import DEFAULT_ENUM_BOUND, add, check_enum_bound, decompose, identity
+from .group import (
+    DEFAULT_ENUM_BOUND,
+    add,
+    check_enum_bound,
+    check_listing_bound,
+    decompose,
+    identity,
+)
 from .rewrite import normalize
 
 
@@ -55,7 +62,7 @@ def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
 
 def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTree]:
     """All spanning trees, by backtracking with union-find acyclicity."""
-    check_enum_bound(ell, max_ell)
+    check_listing_bound(ell, max_ell)
     edges = wheel_edges(ell)
     need = ell  # a spanning tree of l+1 vertices has l edges
     parent = list(range(ell + 1))

@@ -57,6 +57,17 @@ def test_multiplicative_order():
     assert multiplicative_order(10, 7) == 6
     assert multiplicative_order(2, 3) == 2
     assert multiplicative_order(10, 1) == 1
+    with pytest.raises(InvalidWordError) as exc:
+        multiplicative_order(10, 0)
+    assert str(exc.value) == "q must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("value", [100, -1])
+def test_word_from_value_refuses_what_does_not_fit(value):
+    assert word_from_value(99, 10, 2).digits == (9, 9)
+    with pytest.raises(InvalidWordError) as exc:
+        word_from_value(value, 10, 2)
+    assert str(exc.value) == f"{value} does not fit in 2 base-10 digits"
 
 
 def test_verify_cyclic_group_decimal_seventh():

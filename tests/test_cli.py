@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -347,6 +348,82 @@ def test_cache_corrupt_warns(tmp_path, capsys):
         fh.write("garbage\nmore garbage\n")
     assert cache.cache_load(str(tmp_path), "k") is None
     assert "corrupt" in capsys.readouterr().err
+
+
+# SHA-256 of stdout of `group --ell L --list` for L = 1..10, captured from
+# the recursive enumeration and the per-digit word printer they replaced
+LISTING_SHA256 = {
+    "tsv": [
+        "dfd7b072d548a502b99b4af4921c102b8341ca598818a78ced5623757d64716e",
+        "063e1e4cff58bfa827fff20e97d8a109d17e253f1662c2199c005ebd9a1d2717",
+        "d4dbf2004eda6bcbaed38d89612ab842e0ec930cf6dd7d9eabe4957d3df51e71",
+        "9c5f6b7a744bdf0a890d086a93718f8f3e04846bd24ad877dc49a8456d1acfff",
+        "f88e833148a5574d34162dd67bdbdf6bd66e5614916959f5e86fa98f88d59cff",
+        "b92b14efb621a97b7bdbe5b30c75c699f4fa24e403912042be5cdc650c7629ec",
+        "eca16f5579eed7a40ebfb62608e794a7dfab093ac5a9a746ee804f68d688b4d5",
+        "035a3c960f02a3c79dccff142a8e1fdbec29d5cbe1e4934e3b285c3021a815eb",
+        "61414ab5ebe7b626af5f1df18284789b7812609e531fdf42cf3dec48c297a16c",
+        "6e4c812611c06622b924ef56111e50af6a1a91161293e033904d8d98fcde2183",
+    ],
+    "jsonlines": [
+        "50055c40b541504b0edbc690ce21efec0e98399e3d3282fd285d43a2097444f5",
+        "ed6acab069103c44f528360c144170ca8eff1750c8c2b4fc306771cc414d11d9",
+        "cbce6dbb14756e36a3390a79a446a663cdfa743dd5feb80329a7dd0da81972f6",
+        "6dc813786870cc2aa28a65b8d556fd980bc0264b8a3713322f1f536edc82c207",
+        "cdcf9512f5d5fdd155f75bbd97b6798020d46f5f0212770294cd6446583b2edb",
+        "b9a7d936ee45f0f1e0a191047f50c0cf44de661ec25ca4c02cf81efaa1698505",
+        "30f9d575babee77f2f9d7316a59395ec60215b46eca00b913b9b6d1a735711e1",
+        "13d07e277f7d63661ad71222058e60d1c1c652a6d8bb15d5f5a2065060b8a1b6",
+        "286b56f3403076a98a9cd9657f66cf4bc074bb7bef94c1fd9dc4f9c993d95c05",
+        "f020439c0d953a7c07faf601035664016fa2636e7da74cf1441e4de21fb68fe3",
+    ],
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(LISTING_SHA256))
+@pytest.mark.parametrize("ell", range(1, 11))
+def test_group_listing_digests(capsys, fmt, ell):
+    code, out, err = run_cli(capsys, "--format", fmt, "group", "--ell", str(ell), "--list")
+    assert (code, _sha256(out), err) == (0, LISTING_SHA256[fmt][ell - 1], "")
+
+
+def test_group_listing_digest_cold_and_warm_cache(tmp_path, capsys):
+    argv = ["--cache-dir", str(tmp_path), "group", "--ell", "9", "--list"]
+    for _ in ("cold", "warm"):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, _sha256(out), err) == (0, LISTING_SHA256["tsv"][8], "")
+    assert os.listdir(str(tmp_path)) == ["group-elements_ell_9.tsv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-ell", "500", "group", "--ell", "500", "--list"],
+        ["--max-ell", "600", "types", "--ell", "600", "--partition"],
+        ["--max-ell", "600", "wheel", "--ell", "600", "--count"],
+    ],
+    ids=["group-list", "types-partition", "wheel-count"],
+)
+def test_listing_past_its_ceiling_is_refused(capsys, argv):
+    message = f"error: ell={argv[1]} exceeds the listing ceiling 12\n"
+    assert run_cli(capsys, *argv) == (3, "", message)
+
+
+@pytest.mark.parametrize("argv", [["group", "--ell", "13", "--list"], ["wheel", "--ell", "13", "--map"]])
+def test_listing_ceiling_comes_before_the_cache(tmp_path, capsys, monkeypatch, argv):
+    def no_lookup(directory, key):
+        raise AssertionError(f"looked up {key}")
+
+    monkeypatch.setattr(cache, "cache_load", no_lookup)
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "--max-ell", "13", *argv) == (
+        3,
+        "",
+        "error: ell=13 exceeds the listing ceiling 12\n",
+    )
 
 
 def test_cli_uses_cache(tmp_path, capsys):

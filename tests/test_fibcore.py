@@ -366,6 +366,45 @@ def test_word_text_syntax():
         parse_word("1,-2")
 
 
+def _format_word_by_genexpr(word):
+    # the printer that one byte translation per word replaced
+    w = as_word(word)
+    if all(d <= 9 for d in w):
+        return "".join(str(d) for d in w)
+    return ",".join(str(d) for d in w)
+
+
+_WORD_FORMS = {"tuple": tuple, "list": list, "generator": lambda ds: (d for d in ds)}
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(min_value=0, max_value=12), st.sampled_from([255, 256, 10**9])),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from(sorted(_WORD_FORMS)),
+)
+@example([9, 0, 1], "generator")
+@example([10, 0, 1], "tuple")
+@example([255, 256, 10**9], "list")
+def test_format_word_matches_genexpr_printer(digits, form):
+    make = _WORD_FORMS[form]
+    assert format_word(make(digits)) == _format_word_by_genexpr(make(digits))
+
+
+@given(st.text(alphabet="0123456789", min_size=1, max_size=40))
+@example("0")
+def test_format_word_of_digit_text_matches_genexpr_printer(text):
+    assert format_word(text) == _format_word_by_genexpr(text) == text
+
+
+@pytest.mark.parametrize("word", [(), [], "", (0, -1, 2), [-7]])
+def test_format_word_error_contract(word):
+    assert _outcome(format_word, word)[0] is InvalidWordError
+    assert _outcome(format_word, word) == _outcome(_format_word_by_genexpr, word)
+
+
 def test_iter_admissible_counts_are_lucas():
     # cyclic binary words without adjacent ones are counted by the Lucas numbers
     lucas = {1: 1, 2: 3, 4: 7, 6: 18, 8: 47, 10: 123, 12: 322}
@@ -375,6 +414,31 @@ def test_iter_admissible_counts_are_lucas():
     assert list(iter_admissible(1)) == [(0,)]
     with pytest.raises(InvalidWordError):
         list(iter_admissible(0))
+
+
+def _iter_admissible_by_recursion(n):
+    # the generator with one recursive frame per digit that joining two
+    # half-length lists replaced
+    prefix = [0] * n
+
+    def rec(i):
+        if i == n:
+            if not (prefix[0] == 1 and prefix[-1] == 1):
+                yield tuple(prefix)
+            return
+        prefix[i] = 0
+        yield from rec(i + 1)
+        if i == 0 or prefix[i - 1] == 0:
+            prefix[i] = 1
+            yield from rec(i + 1)
+            prefix[i] = 0
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_iter_admissible_matches_recursive_generator(n):
+    assert list(iter_admissible(n)) == list(_iter_admissible_by_recursion(n))
 
 
 def test_iter_admissible_lex_order():

@@ -140,10 +140,25 @@ def test_enumerate_is_lex_sorted_and_excludes_other_identity():
         assert tuple(1 - d for d in identity(ell)) not in elements
 
 
-def test_enumerate_bound():
+def test_enumerate_bound(monkeypatch):
+    import circfib.group as group_module
+
     with pytest.raises(ResourceBoundError):
         enumerate_elements(11)
     enumerate_elements(11, max_ell=11)
+
+    # past the listing ceiling nothing is listed, whatever the bound says,
+    # and the enumeration bound is still refused first with its own message
+    def no_listing(n):
+        raise AssertionError(f"listed the words of length {n}")
+
+    monkeypatch.setattr(group_module, "iter_admissible", no_listing)
+    with pytest.raises(ResourceBoundError) as exc:
+        enumerate_elements(13, max_ell=10**6)
+    assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
+    with pytest.raises(ResourceBoundError) as exc:
+        enumerate_elements(13)
+    assert str(exc.value) == "ell=13 exceeds enumeration bound 10"
 
 
 def test_raw_admissible_count_is_order_plus_two():
@@ -157,6 +172,9 @@ def test_d_value():
     assert d_value(6) == 8
     assert d_value(1) == 1
     assert [d_value(ell) for ell in range(1, 9)] == [1, 1, 4, 3, 11, 8, 29, 21]
+    with pytest.raises(InvalidWordError) as exc:
+        d_value(0)
+    assert str(exc.value) == "ell must be >= 1, got 0"
 
 
 def test_decompose_examples():

@@ -43,6 +43,9 @@ def test_spanning_trees_are_trees():
 def test_spanning_trees_bound():
     with pytest.raises(ResourceBoundError):
         spanning_trees(11)
+    with pytest.raises(ResourceBoundError) as exc:
+        spanning_trees(13, max_ell=13)
+    assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
 
 
 def test_matrix_count_agrees():
@@ -54,6 +57,9 @@ def test_matrix_count_agrees():
         lucas.append(lucas[-1] + lucas[-2])
     for ell in range(1, 61):
         assert count_trees_matrix(ell) == lucas[2 * ell] - 2
+    with pytest.raises(InvalidWordError) as exc:
+        count_trees_matrix(0)
+    assert str(exc.value) == "ell must be >= 1, got 0"
 
 
 def test_tree_to_word_examples():
