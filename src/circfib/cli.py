@@ -154,7 +154,7 @@ def _cached_records(args, bound: int, name: str, compute):
     whatever the cache holds."""
     from . import cache
 
-    group.check_listing_bound(args.ell, bound)
+    group.check_ceiling(args.ell, bound, group.LISTING_CEILING, "listing")
     directory = args.cache_dir or cache.cache_dir_from_env()
     if directory is None:
         return compute()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate, product, repeat
-from operator import add, eq, sub
+from operator import eq, sub
 
 from .errors import CapacityError, InvalidWordError, ResourceBoundError
 
@@ -56,12 +56,21 @@ def classical_fib(n: int) -> int:
 
 
 def as_word(digits) -> Word:
-    """Coerce a digit sequence to a validated word tuple."""
-    w = tuple(map(int, digits))
+    """Coerce a digit sequence to a validated word tuple of ints.
+
+    Digits 0..255 are checked and converted in C by ``bytes``; any other
+    digit (above 255, negative, a str or a float) takes the per-digit
+    ``int`` path, with the same result and the same errors.
+    """
+    w = tuple(digits)
+    try:
+        w = tuple(bytes(w))
+    except (TypeError, ValueError):
+        w = tuple(map(int, w))
+        if min(w) < 0:
+            raise InvalidWordError(f"word digits must be nonnegative: {w}") from None
     if not w:
         raise InvalidWordError("word must have length >= 1")
-    if min(w) < 0:
-        raise InvalidWordError(f"word digits must be nonnegative: {w}")
     return w
 
 
@@ -113,10 +122,12 @@ def is_admissible(word) -> bool:
 
 def _is_admissible(w: Word) -> bool:
     """``is_admissible`` of a word tuple that ``as_word`` has already validated."""
-    if max(w) > 1:
+    try:
+        b = bytes(w)
+    except ValueError:  # a digit above 255 is not binary
         return False
-    # on 0/1 digits a cyclically adjacent pair of ones is the only sum of 2
-    return 2 not in map(add, w, w[-1:] + w[:-1])
+    # on 0/1 digits the wrap pair is the first and last digit
+    return max(b) <= 1 and not (b[0] & b[-1] or b"\x01\x01" in b)
 
 
 def rotate(word) -> Word:

@@ -105,21 +105,22 @@ def check_enum_bound(ell: int, max_ell: int) -> None:
         raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
 
 
-def check_listing_bound(ell: int, max_ell: int) -> None:
-    """``check_enum_bound``, then refuse an ell above ``LISTING_CEILING``."""
+def check_ceiling(ell: int, max_ell: int, ceiling: int, what: str) -> None:
+    """``check_enum_bound``, then refuse an ell above a command's fixed
+    ceiling, such as ``LISTING_CEILING``, whatever ``max_ell`` allows."""
     check_enum_bound(ell, max_ell)
-    if ell > LISTING_CEILING:
-        raise ResourceBoundError(f"ell={ell} exceeds the listing ceiling {LISTING_CEILING}")
+    if ell > ceiling:
+        raise ResourceBoundError(f"ell={ell} exceeds the {what} ceiling {ceiling}")
 
 
 def enumerate_elements(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Word]:
     """All group elements of parameter l, in lexicographic word order."""
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    check_listing_bound(ell, max_ell)
-    n = 2 * ell
-    skip = alternating_word(n, first=1)
-    return [w for w in iter_admissible(n) if any(w) and w != skip]
+    check_ceiling(ell, max_ell, LISTING_CEILING, "listing")
+    # the zero word comes first in lex order and (10)^l, the largest
+    # admissible word, last; neither is an element
+    return list(iter_admissible(2 * ell))[1:-1]
 
 
 def d_value(ell: int) -> int:

@@ -413,6 +413,25 @@ def test_listing_past_its_ceiling_is_refused(capsys, argv):
     assert run_cli(capsys, *argv) == (3, "", message)
 
 
+SCANS = {
+    "wheel": ("--verify-bijection", "fiber scan ceiling 10"),
+    "fibword": ("--partition", "partition ceiling 18"),
+}
+
+
+@pytest.mark.parametrize("command, ell", [("wheel", 11), ("wheel", 30), ("fibword", 19), ("fibword", 40)])
+def test_scan_past_its_ceiling_is_refused(capsys, command, ell):
+    flag, ceiling = SCANS[command]
+    argv = ["--max-ell", str(ell), command, "--ell", str(ell), flag]
+    assert run_cli(capsys, *argv) == (3, "", f"error: ell={ell} exceeds the {ceiling}\n")
+
+
+@pytest.mark.parametrize("command", sorted(SCANS))
+def test_enumeration_bound_comes_before_the_scan_ceiling(capsys, command):
+    argv = [command, "--ell", "40", SCANS[command][0]]
+    assert run_cli(capsys, *argv) == (3, "", f"error: ell={argv[2]} exceeds enumeration bound 10\n")
+
+
 @pytest.mark.parametrize("argv", [["group", "--ell", "13", "--list"], ["wheel", "--ell", "13", "--map"]])
 def test_listing_ceiling_comes_before_the_cache(tmp_path, capsys, monkeypatch, argv):
     def no_lookup(directory, key):

@@ -216,23 +216,56 @@ def _outcome(fn, arg):
         return type(exc), str(exc)
 
 
+def _generator(digits):
+    return (d for d in digits)
+
+
+# digits on both sides of the bytes() range 0..255, and the non-int digits
+# that int() converts or refuses
+_ODD_DIGIT = st.one_of(
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([254, 255, 256, 10**9]),
+    st.booleans(),
+    st.floats(min_value=-2, max_value=300, allow_nan=False),
+    st.sampled_from(["0", "1", "12", "-1", "x"]),
+)
+
+
 @given(
     st.one_of(
         st.lists(st.integers(min_value=-2, max_value=3), max_size=10),
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=10),
         st.lists(st.integers(), min_size=1, max_size=3),
-    )
+        st.lists(_ODD_DIGIT, max_size=6),
+        st.text(alphabet="0123456789", max_size=6),
+        st.binary(max_size=6),
+        st.binary(max_size=6).map(bytearray),
+    ),
+    st.sampled_from([tuple, list, _generator]),
 )
-@example([])
-@example([1])
-@example([0])
-@example([-1])
-@example([1, 1])
-@example([0, -1, 0])
-def test_word_checks_match_generator_versions(digits):
-    w = tuple(digits)
-    assert _outcome(as_word, w) == _outcome(_generator_as_word, w)
-    assert _outcome(is_admissible, w) == _outcome(_generator_is_admissible, w)
+@example([], tuple)
+@example([1], tuple)
+@example([0], tuple)
+@example([-1], tuple)
+@example([1, 1], tuple)
+@example([1, 0], tuple)
+@example([0, 1], _generator)
+@example([0, -1, 0], tuple)
+@example([254, 255], tuple)
+@example([256], tuple)
+@example([0, 10**9], _generator)
+@example([True, False], tuple)
+@example([1.5, 0.0], tuple)
+@example("0101", lambda digits: digits)
+@example(b"\x01\x00", lambda digits: digits)
+@example(bytearray(b"\x00\x02"), lambda digits: digits)
+def test_word_checks_match_generator_versions(digits, form):
+    # each check gets a fresh copy, so a generator is consumed once per call
+    outcome = _outcome(as_word, form(digits))
+    assert outcome == _outcome(_generator_as_word, form(digits))
+    if outcome[0] == "ok":  # bools and floats come back as plain ints
+        assert all(type(d) is int for d in outcome[1])
+    assert _outcome(is_admissible, form(digits)) == _outcome(_generator_is_admissible, form(digits))
 
 
 def test_rotate():

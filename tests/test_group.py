@@ -167,6 +167,13 @@ def test_raw_admissible_count_is_order_plus_two():
         assert raw == len(enumerate_elements(ell)) + 2
 
 
+def test_zero_word_comes_first_and_ten_power_last():
+    # enumerate_elements drops the first and the last word of the stream
+    for ell in range(1, 11):
+        words = list(iter_admissible(2 * ell))
+        assert (words[0], words[-1]) == ((0,) * (2 * ell), (1, 0) * ell)
+
+
 def test_d_value():
     assert d_value(3) == 4
     assert d_value(6) == 8
