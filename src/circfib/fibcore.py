@@ -20,7 +20,8 @@ All arithmetic is exact (Python ints).
 from __future__ import annotations
 
 import threading
-from itertools import accumulate, product, repeat
+from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import eq, sub
 
 from .errors import CapacityError, InvalidWordError, ResourceBoundError
@@ -104,14 +105,25 @@ def zeckendorf(n: int, length: int) -> Word:
     top = fib(length)  # also grows the cache through F(length)
     if n >= top:
         raise CapacityError(f"{n} does not fit in {length} digits (max {top - 1})")
-    fibs = _FIB_CACHE[2:length + 2]  # fibs[i] == fib(i)
-    digits = [0] * length
-    rem = n
-    for i in range(length - 1, -1, -1):
-        if fibs[i] <= rem:
+    return _greedy(n, _descending_fibs(length))
+
+
+@lru_cache(maxsize=64)
+def _descending_fibs(length: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, fib(i)) for i = length - 1 down to 0, sharing the
+    table's ints; the caller has already grown the table through fib(length)."""
+    return tuple(zip(range(length - 1, -1, -1), _FIB_CACHE[length + 1:1:-1]))
+
+
+def _greedy(value: int, desc) -> Word:
+    """``zeckendorf`` of a value already known to satisfy 0 <= value < F(len(desc)),
+    with desc from ``_descending_fibs``."""
+    digits = [0] * len(desc)
+    for i, f in desc:
+        if f <= value:
             digits[i] = 1
-            rem -= fibs[i]
-    assert rem == 0
+            value -= f
+    assert value == 0
     return tuple(digits)
 
 
@@ -175,6 +187,7 @@ def _format_word(w: Word) -> str:
 
 _WORD_ITERATE = "abaababa"
 _WORD_LOCK = threading.Lock()
+_SUBSTITUTION = str.maketrans({"a": "ab", "b": "a"})
 
 
 def fibonacci_word_prefix(n: int) -> str:
@@ -189,7 +202,7 @@ def fibonacci_word_prefix(n: int) -> str:
         with _WORD_LOCK:
             word = _WORD_ITERATE
             while len(word) < n:
-                word = "".join("ab" if c == "a" else "a" for c in word)
+                word = word.translate(_SUBSTITUTION)
             _WORD_ITERATE = word
     return word[:n]
 
@@ -220,13 +233,6 @@ def _balanced_windows(letters: str, windows) -> bool:
         if max(counts) - min(counts) > 1:
             return False
     return True
-
-
-def iter_words_binary(n: int):
-    """Yield all binary words of length n in lexicographic order."""
-    if n < 1:
-        raise InvalidWordError(f"length must be >= 1, got {n}")
-    yield from product((0, 1), repeat=n)
 
 
 def iter_admissible(n: int):

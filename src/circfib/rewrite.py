@@ -34,8 +34,11 @@ written bound allows around the quotient.  Of the offsets whose valuation
 is in range, an exact integer test of the pair's conjugate embedding picks
 the one pair that is the greedy Zeckendorf word of its valuation, so each
 decode builds one word (the proof is next to the window proof), never
-(10)^l.  What the decoder reads at a length is one small cached record,
-``_length_table``.  The public entry points validate once: ``normalize``
+(10)^l.  What the decoder reads at a length is one cached record,
+``_length_table``: the modulus, the norm, the largest valuation, the 25
+offsets already multiplied by the modulus, and the descending Fibonacci
+pairs that the trusted greedy (``fibcore._greedy``) walks to build the
+word.  The public entry points validate once: ``normalize``
 and ``equivalent`` call ``as_word``, ``group.add`` sums two validated
 words, and each hands the tuple to ``_normalize_word``, the one layer,
 which refuses an odd length, the zero word and a length past the Fibonacci
@@ -69,7 +72,7 @@ from .errors import (
     NormalizationError,
     ZeroWordError,
 )
-from .fibcore import Word, as_word, fib, phi_pair, zeckendorf
+from .fibcore import Word, _descending_fibs, _greedy, as_word, fib, phi_pair
 
 
 class _Move(NamedTuple):
@@ -290,9 +293,12 @@ def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def _length_table(n: int) -> tuple:
-    """What decoding at length n reads: (p, q, norm, max_value) with
-    phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``, and
-    max_value = fib(n) - 1 the largest valuation of n digits."""
+    """What decoding at length n reads: (p, q, norm, max_value, shifts, desc)
+    with phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``,
+    max_value = fib(n) - 1 the largest valuation of n digits, shifts the
+    pairs of ``_OFFSETS`` (c1, c2) times the modulus, in ``_OFFSETS`` order,
+    and desc the pairs (i, fib(i)) for i = n - 1 down to 0 that the greedy
+    walks (``fibcore._descending_fibs``, the same object)."""
     if n < 1:
         raise InvalidWordError(f"degenerate modulus at length {n}")
     top = fib(n)  # first, so a length past the table's ceiling grows nothing
@@ -300,7 +306,10 @@ def _length_table(n: int) -> tuple:
     # The norm N(phi^n - 1) = p^2 + pq - q^2 = (-1)^n + 1 - L(n), with L the
     # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
     # L(n) >= 3 from n = 2 on.  So the denominator is its negation.
-    return p, q, q * q - p * q - p * p, top - 1
+    norm = q * q - p * q - p * p
+    # (c1 + c2*phi) * (p + q*phi) = (c1*p + c2*q) + (c1*q + c2*(p + q))*phi
+    shifts = tuple((c1 * p + c2 * q, c1 * q + c2 * (p + q)) for c1, c2 in _OFFSETS)
+    return p, q, norm, top - 1, shifts, _descending_fibs(n)
 
 
 def _modulus_pair(n: int) -> tuple[int, int]:
@@ -414,16 +423,16 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     even n, the only lengths callers pass; a miss raises NormalizationError.
     """
     num1, num2, norm = _quotient(x, y, n)  # refuses n < 1 first
-    p, q, _, max_value = _length_table(n)
+    p, q, _, max_value, shifts, desc = _length_table(n)
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
     # the input less the shift (q1 + q2*phi) * (p + q*phi)
     x0, y0 = x - (q1 * p + q2 * q), y - (q1 * q + q2 * (p + q))
-    for c1, c2 in _OFFSETS:
-        ax, ay = x0 - (c1 * p + c2 * q), y0 - (c1 * q + c2 * (p + q))
+    for dx, dy in shifts:  # the offsets of _OFFSETS, in order, times the modulus
+        ax, ay = x0 - dx, y0 - dy
         value = ax + 2 * ay  # the valuation of any word with pair (ax, ay)
         if value < 1 or value > max_value or not _in_conjugate_window(ax, ay):
             continue
-        candidate = zeckendorf(value, n)  # has the pair (ax, ay)
+        candidate = _greedy(value, desc)  # zeckendorf(value, n), with the pair (ax, ay)
         if candidate[0] == 1 and candidate[-1] == 1:
             continue  # linear Zeckendorf form, but not cyclically admissible
         # Never (10)^(n/2), which lies only in the zero class: there the

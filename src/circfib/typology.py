@@ -43,8 +43,9 @@ T10 = "T10"
 T11 = "T11"
 TAGS = (T01, T10, T11)
 
-# fib_partition builds a prefix of F(2l - 2) letters: 1.2 s and 136 MB at
-# l = 18, 3.8 s and 319 MB at 19 (Python 3.11, 2-vCPU host)
+# fib_partition builds a prefix of F(2l - 2) letters: 1.7-1.9 s and 57 MB
+# at l = 18, 4.7-5.1 s and 127 MB at 19 (fresh processes, Python 3.11,
+# 2-vCPU host)
 PARTITION_CEILING = 18
 
 # Shape rule, reading from index 0: odd zero-run before the first 1, or an

@@ -529,10 +529,10 @@ def test_verify_deep_golden_output(capsys):
 
 
 def test_wheel_verify_bijection_bound_comes_before_the_scan(capsys, monkeypatch):
-    def no_scan(n):
-        raise AssertionError(f"scanned the 2^{n} binary words")
+    def no_scan(ell):
+        raise AssertionError(f"generated the tree words of the {ell}-wheel")
 
-    monkeypatch.setattr(wheels, "iter_words_binary", no_scan)
+    monkeypatch.setattr(wheels, "_tree_words", no_scan)
     code, out, err = run_cli(capsys, "wheel", "--ell", "40", "--verify-bijection")
     assert (code, out, err) == (3, "", "error: ell=40 exceeds enumeration bound 10\n")
 

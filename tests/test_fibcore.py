@@ -18,7 +18,6 @@ from circfib.fibcore import (
     format_word,
     is_admissible,
     iter_admissible,
-    iter_words_binary,
     letter_counts,
     parse_word,
     phi_pair,
@@ -184,6 +183,37 @@ def test_zeckendorf_matches_fib_call_loop(length, seed):
         zeckendorf(-1, length)
 
 
+def _zeckendorf_by_cache_slice(n, length):
+    # the greedy loop before it walked the cached descending pairs: a slice
+    # of the Fibonacci cache, indexed twice per digit
+    fibs = fibcore._FIB_CACHE[2:length + 2]
+    digits = [0] * length
+    rem = n
+    for i in range(length - 1, -1, -1):
+        if fibs[i] <= rem:
+            digits[i] = 1
+            rem -= fibs[i]
+    return tuple(digits)
+
+
+def test_trusted_greedy_matches_cache_slice_loop_below_f12():
+    for length in range(1, 13):
+        desc = fibcore._descending_fibs(length)
+        for n in range(fib(length)):
+            assert fibcore._greedy(n, desc) == _zeckendorf_by_cache_slice(n, length), (n, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=1000), st.randoms(use_true_random=False))
+def test_trusted_greedy_matches_cache_slice_loop(length, rnd):
+    fib(length)  # the trusted greedy's caller grows the table first
+    desc = fibcore._descending_fibs(length)
+    assert [i for i, _ in desc] == list(range(length - 1, -1, -1))
+    for n in (0, rnd.randrange(fib(length)), fib(length) - 1):
+        assert fibcore._greedy(n, desc) == _zeckendorf_by_cache_slice(n, length), (n, length)
+        assert zeckendorf(n, length) == fibcore._greedy(n, desc)
+
+
 def test_is_admissible():
     assert is_admissible(parse_word("1000"))
     assert not is_admissible(parse_word("1001"))  # wrap pair
@@ -326,6 +356,15 @@ def test_fibonacci_word_prefix_threaded(monkeypatch):
     assert sorted(n for n, _ in results) == sorted(lengths * 3)
     for n, prefix in results:
         assert prefix == reference[:n], (n, len(prefix))
+
+
+def test_fibonacci_word_prefix_matches_join_iterate():
+    # the one-letter join that grew the iterate before str.translate
+    word = "a"
+    while len(word) < fib(25):
+        word = "".join("ab" if c == "a" else "a" for c in word)
+    for k in (0, 1, 5, 13, 24, 25):
+        assert fibonacci_word_prefix(fib(k)) == word[:fib(k)], k
 
 
 def test_fibonacci_word_a_count_recurrence():
@@ -478,14 +517,3 @@ def test_iter_admissible_lex_order():
     words = list(iter_admissible(6))
     assert words == sorted(words)
     assert all(is_admissible(w) for w in words)
-
-
-def test_iter_words_binary_order():
-    # every binary word once, counting up in binary read left to right
-    for n in (1, 2, 5):
-        words = list(iter_words_binary(n))
-        assert words == [
-            tuple(int(c) for c in format(v, f"0{n}b")) for v in range(2**n)
-        ]
-    with pytest.raises(InvalidWordError):
-        list(iter_words_binary(0))

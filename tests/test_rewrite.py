@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from circfib import rewrite
+from circfib import fibcore, rewrite
 from circfib.errors import (
     InapplicableMoveError,
     InvalidWordError,
@@ -412,6 +412,68 @@ def test_decode_pair_matches_pair_rebuilding_oracle(case):
     assert _outcome(rewrite.decode_pair, x, y, n) == _outcome(oracle_decode_pair, x, y, n)
 
 
+def decode_pair_before_records(x, y, n):
+    """The decoder before the per-length record held the offsets' shifts
+    and the descending Fibonacci pairs: each offset multiplied by the
+    modulus on every call, and each candidate built by the validating
+    ``zeckendorf``."""
+    num1, num2, norm = rewrite._quotient(x, y, n)
+    p, q, _, max_value = rewrite._length_table(n)[:4]
+    q1, q2 = rewrite._iround(num1, norm), rewrite._iround(num2, norm)
+    x0, y0 = x - (q1 * p + q2 * q), y - (q1 * q + q2 * (p + q))
+    for c1, c2 in rewrite._OFFSETS:
+        ax, ay = x0 - (c1 * p + c2 * q), y0 - (c1 * q + c2 * (p + q))
+        value = ax + 2 * ay
+        if value < 1 or value > max_value or not rewrite._in_conjugate_window(ax, ay):
+            continue
+        candidate = zeckendorf(value, n)
+        if candidate[0] == 1 and candidate[-1] == 1:
+            continue
+        return candidate
+    raise NormalizationError(
+        f"no admissible word of length {n} found for the pair ({x}, {y}); "
+        "the uniqueness assumption may be violated"
+    )
+
+
+@st.composite
+def _record_case(draw):
+    n = draw(st.sampled_from((2, 4, 6, 8, 12, 24, 60, 240, 1000)))
+    kind = draw(st.sampled_from(("pair", "lattice", "word")))
+    if kind == "pair":
+        coordinate = st.integers(min_value=-10**300, max_value=10**300)
+        return n, (draw(coordinate), draw(coordinate)), draw(st.booleans())
+    if kind == "lattice":  # the zero class
+        c = st.integers(min_value=-10**12, max_value=10**12)
+        return n, rewrite._pair_mul((draw(c), draw(c)), rewrite._modulus_pair(n)), draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=False))
+    return n, phi_pair([rnd.randint(0, 3) for _ in range(n)]), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_case())
+@example((4, (-12, 1), True))
+@example((2, (0, 0), True))
+@example((1000, (10**300, -10**300), True))
+def test_decode_pair_matches_decoder_before_records(case):
+    # a cleared cache makes the decode build its record (cold), else reuse it
+    n, (x, y), cold = case
+    if cold:
+        rewrite._length_table.cache_clear()
+        fibcore._descending_fibs.cache_clear()
+    got = _outcome(rewrite.decode_pair, x, y, n)
+    assert got == _outcome(decode_pair_before_records, x, y, n)
+
+
+def test_length_record_shares_the_descending_pairs():
+    for n in (2, 8, 60, 1000):
+        rewrite._length_table.cache_clear()
+        record = rewrite._length_table(n)
+        assert record[5] is fibcore._descending_fibs(n)
+        p, q = record[:2]
+        assert record[4] == tuple(rewrite._pair_mul(c, (p, q)) for c in rewrite._OFFSETS)
+
+
 def _window_candidates(x, y, n):
     """The greedy words of the offsets that pass the range test and the
     conjugate window, in ``_OFFSETS`` order, the order ``decode_pair`` tries."""
@@ -490,7 +552,8 @@ def test_above_sqrt5_matches_floats():
 
 
 def test_decode_error_names_pair_and_length(monkeypatch):
-    monkeypatch.setattr(rewrite, "_OFFSETS", [])
+    # the record reads _OFFSETS only when it is built, so close the window
+    monkeypatch.setattr(rewrite, "_in_conjugate_window", lambda x, y: False)
     with pytest.raises(NormalizationError, match=r"length 6 .*\(7, -3\)"):
         rewrite.decode_pair(7, -3, 6)
 

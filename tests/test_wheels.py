@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from circfib import wheels
 from circfib.errors import InvalidWordError, ResourceBoundError
-from circfib.fibcore import format_word, iter_words_binary, parse_word
+from circfib.fibcore import format_word, parse_word
 from circfib.group import add, enumerate_elements, identity
 from circfib.wheels import (
     WheelTree,
@@ -95,8 +96,14 @@ def test_tree_words_are_even_zero_block_words():
     for ell in (1, 2, 3, 4):
         raw = {tree_to_word(t) for t in spanning_trees(ell)}
         assert len(raw) == len(spanning_trees(ell))  # injective on trees
-        expected = {w for w in iter_words_binary(2 * ell) if is_tree_word(w)}
+        expected = {w for w in itertools.product((0, 1), repeat=2 * ell) if is_tree_word(w)}
         assert raw == expected
+
+
+def test_generated_tree_words_match_the_filter():
+    for ell in range(1, 9):
+        expected = frozenset(filter(is_tree_word, itertools.product((0, 1), repeat=2 * ell)))
+        assert wheels._tree_words(ell) == expected, ell
 
 
 def test_identity_fiber_report():
