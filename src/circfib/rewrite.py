@@ -36,9 +36,11 @@ the one pair that is the greedy Zeckendorf word of its valuation, so each
 decode builds one word (the proof is next to the window proof), never
 (10)^l.  What the decoder reads at a length is one cached record,
 ``_length_table``: the modulus, the norm, the largest valuation, the 25
-offsets already multiplied by the modulus, and the descending Fibonacci
+offsets already multiplied by the modulus, the descending Fibonacci
 pairs that the trusted greedy (``fibcore._greedy``) walks to build the
-word.  The public entry points validate once: ``normalize``
+word, and, at even lengths up to 16, a memo of the words already decoded,
+keyed by residue (the proof that the key names the residue is next to
+``_MEMO_CEILING``).  The public entry points validate once: ``normalize``
 and ``equivalent`` call ``as_word``, ``group.add`` sums two validated
 words, and each hands the tuple to ``_normalize_word``, the one layer,
 which refuses an odd length, the zero word and a length past the Fibonacci
@@ -293,12 +295,15 @@ def _pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def _length_table(n: int) -> tuple:
-    """What decoding at length n reads: (p, q, norm, max_value, shifts, desc)
-    with phi^n - 1 = p + q*phi, norm the denominator of ``_quotient``,
-    max_value = fib(n) - 1 the largest valuation of n digits, shifts the
-    pairs of ``_OFFSETS`` (c1, c2) times the modulus, in ``_OFFSETS`` order,
-    and desc the pairs (i, fib(i)) for i = n - 1 down to 0 that the greedy
-    walks (``fibcore._descending_fibs``, the same object)."""
+    """What decoding at length n reads:
+    (p, q, norm, max_value, shifts, desc, memo) with phi^n - 1 = p + q*phi,
+    norm the denominator of ``_quotient``, max_value = fib(n) - 1 the
+    largest valuation of n digits, shifts the pairs of ``_OFFSETS``
+    (c1, c2) times the modulus, in ``_OFFSETS`` order, desc the pairs
+    (i, fib(i)) for i = n - 1 down to 0 that the greedy walks
+    (``fibcore._descending_fibs``, the same object), and memo the words
+    ``decode_pair`` has found, keyed by residue: a dict at even
+    n <= ``_MEMO_CEILING``, else None."""
     if n < 1:
         raise InvalidWordError(f"degenerate modulus at length {n}")
     top = fib(n)  # first, so a length past the table's ceiling grows nothing
@@ -309,7 +314,26 @@ def _length_table(n: int) -> tuple:
     norm = q * q - p * q - p * p
     # (c1 + c2*phi) * (p + q*phi) = (c1*p + c2*q) + (c1*q + c2*(p + q))*phi
     shifts = tuple((c1 * p + c2 * q, c1 * q + c2 * (p + q)) for c1, c2 in _OFFSETS)
-    return p, q, norm, top - 1, shifts, _descending_fibs(n)
+    memo = {} if n % 2 == 0 and n <= _MEMO_CEILING else None
+    return p, q, norm, top - 1, shifts, _descending_fibs(n), memo
+
+
+# The decode memo's key names the residue.  ``_quotient``'s numerators are
+# (num1, num2) = (x + y*phi) * -conj(phi^n - 1), a linear map of (x, y) of
+# determinant -norm.  A lattice vector (c1 + c2*phi)(phi^n - 1) maps to
+# (c1*norm, c2*norm), and a pair whose numerators are both multiples of
+# norm has an integral quotient, so it is a lattice vector.  So two pairs
+# share (num1 % norm, num2 % norm) exactly when they share a residue.  The
+# answer depends only on the residue.  At even n, let S be the admissible
+# words other than the zero word and (10)^(n/2): L(n) - 2 words, with L the
+# Lucas numbers, and norm = L(n) - 2 residues.  The window proof gives every
+# residue a word of S with that residue, so the map from S to residues is
+# onto, hence one-to-one, and each residue has one answer, even where
+# rounding at an exact half shifts the search order.  The group has 2,205
+# elements at n = 16; at n = 24 it has 103,680 and few decodes repeat, so
+# longer lengths keep no memo.  Threads that miss on one residue at once
+# store the same word, so the memo needs no lock.
+_MEMO_CEILING = 16
 
 
 def _modulus_pair(n: int) -> tuple[int, int]:
@@ -421,9 +445,16 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     only the one whose conjugate lies in (-1, phi) has a greedy Zeckendorf
     word with its pair, so one word is built.  The window is proven for
     even n, the only lengths callers pass; a miss raises NormalizationError.
+    At even n up to ``_MEMO_CEILING`` the word found for a residue is kept
+    in the length's record and returned when the residue comes again.
     """
-    num1, num2, norm = _quotient(x, y, n)  # refuses n < 1 first
-    p, q, _, max_value, shifts, desc = _length_table(n)
+    p, q, norm, max_value, shifts, desc, memo = _length_table(n)  # refuses n < 1 first
+    num1, num2 = y * q - x * (p + q), x * q - y * p  # as in _quotient
+    if memo is not None:
+        key = (num1 % norm, num2 % norm)  # names the residue (see _MEMO_CEILING)
+        word = memo.get(key)
+        if word is not None:
+            return word
     q1, q2 = _iround(num1, norm), _iround(num2, norm)
     # the input less the shift (q1 + q2*phi) * (p + q*phi)
     x0, y0 = x - (q1 * p + q2 * q), y - (q1 * q + q2 * (p + q))
@@ -439,6 +470,8 @@ def decode_pair(x: int, y: int, n: int) -> Word:
         # quotient is exact, offset (0, 0) leaves valuation 0, and (-1, 0)
         # leaves phi^n - 1, of valuation fib(n) - 1 and conjugate
         # phi^-n - 1 in (-1, 0), whose greedy word is (01)^(n/2).
+        if memo is not None:
+            memo[key] = candidate
         return candidate
     raise NormalizationError(
         f"no admissible word of length {n} found for the pair ({x}, {y}); "

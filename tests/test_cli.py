@@ -350,6 +350,24 @@ def test_cache_corrupt_warns(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+def test_cache_row_with_wrong_field_count_warns(tmp_path, capsys):
+    path = cache.cache_store(str(tmp_path), "k", [{"x": "1", "y": "2"}])
+    with open(path, "a") as fh:
+        fh.write("3\n")  # one field under a two-field header
+    assert cache.cache_load(str(tmp_path), "k") is None
+    assert "field count mismatch" in capsys.readouterr().err
+
+
+def test_cache_failed_rename_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cache.os, "replace", refuse)
+    assert cache.cache_store(str(tmp_path), "k", [{"x": "1"}]) is None
+    assert "cannot write cache entry" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no .cache-*.tmp and no entry
+
+
 # SHA-256 of stdout of `group --ell L --list` for L = 1..10, captured from
 # the recursive enumeration and the per-digit word printer they replaced
 LISTING_SHA256 = {

@@ -21,7 +21,7 @@ from circfib.fibcore import (
     valuation,
     zeckendorf,
 )
-from circfib.group import canonical
+from circfib.group import canonical, decompose
 from circfib.rewrite import (
     Move,
     apply_move,
@@ -438,7 +438,7 @@ def decode_pair_before_records(x, y, n):
 
 @st.composite
 def _record_case(draw):
-    n = draw(st.sampled_from((2, 4, 6, 8, 12, 24, 60, 240, 1000)))
+    n = draw(st.sampled_from((2, 4, 6, 8, 10, 12, 14, 16, 18, 24, 60, 240, 1000)))
     kind = draw(st.sampled_from(("pair", "lattice", "word")))
     if kind == "pair":
         coordinate = st.integers(min_value=-10**300, max_value=10**300)
@@ -472,6 +472,32 @@ def test_length_record_shares_the_descending_pairs():
         assert record[5] is fibcore._descending_fibs(n)
         p, q = record[:2]
         assert record[4] == tuple(rewrite._pair_mul(c, (p, q)) for c in rewrite._OFFSETS)
+
+
+def test_memo_answers_as_a_cold_search():
+    # every nonzero {0,1,2}-word decodes the same through a warm memo as
+    # from a cleared record, and the memo then holds one word per residue
+    for n in (4, 6, 8):
+        pairs = [phi_pair(w) for w in itertools.product(range(3), repeat=n) if any(w)]
+        rewrite._length_table.cache_clear()
+        warm = [rewrite.decode_pair(x, y, n) for x, y in pairs]
+        memo = rewrite._length_table(n)[6]
+        assert len(memo) == decompose(n // 2).order, n
+        assert memo[0, 0] == (0, 1) * (n // 2), n
+        cold = []
+        for x, y in pairs:
+            rewrite._length_table.cache_clear()
+            cold.append(rewrite.decode_pair(x, y, n))
+        assert warm == cold, n
+
+
+def test_memo_only_at_short_even_lengths():
+    for n in (*range(1, 20), 24, 1000):
+        memo = rewrite._length_table(n)[6]
+        if n % 2 == 0 and n <= 16:
+            assert type(memo) is dict, n
+        else:
+            assert memo is None, n
 
 
 def _window_candidates(x, y, n):
@@ -551,8 +577,12 @@ def test_above_sqrt5_matches_floats():
             assert rewrite._above_sqrt5(a, b) == (a > b * 5**0.5), (a, b)
 
 
-def test_decode_error_names_pair_and_length(monkeypatch):
-    # the record reads _OFFSETS only when it is built, so close the window
+def test_decode_error_names_pair_and_length(monkeypatch, request):
+    # the record reads _OFFSETS only when it is built, so close the window;
+    # a warm memo at length 6 would answer before the window runs, so the
+    # records are cleared first and again at teardown
+    rewrite._length_table.cache_clear()
+    request.addfinalizer(rewrite._length_table.cache_clear)
     monkeypatch.setattr(rewrite, "_in_conjugate_window", lambda x, y: False)
     with pytest.raises(NormalizationError, match=r"length 6 .*\(7, -3\)"):
         rewrite.decode_pair(7, -3, 6)
