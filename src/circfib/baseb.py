@@ -15,6 +15,7 @@ and the final carry wraps to the rightmost digit.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
@@ -102,21 +103,19 @@ def circ_add_base_b(u: BaseBWord, v: BaseBWord) -> BaseBWord:
 def multiplicative_order(b: int, q: int) -> int:
     """Least n >= 1 with b^n congruent to 1 mod q; requires b > 1 and
     gcd(b, q) = 1."""
-    from math import gcd
-
     if b < 2:  # first: at b = 1 the period's modulus b^n - 1 is 0
         raise InvalidWordError(f"base must be > 1, got {b}")
     if q < 1:
         raise InvalidWordError(f"q must be >= 1, got {q}")
     if gcd(b, q) != 1:
         raise InvalidWordError(f"gcd({b}, {q}) != 1: expansion of 1/{q} is not purely periodic")
+    # b is a unit mod q, so b^phi(q) = 1 (Euler) and the loop stops by
+    # n = phi(q) <= q
     n = 1
     acc = b % q
     while acc != 1 % q:
         acc = (acc * b) % q
         n += 1
-        if n > q:
-            raise InvalidWordError(f"no multiplicative order of {b} mod {q}")
     return n
 
 

@@ -19,10 +19,6 @@ ENV_VAR = "CIRCFIB_CACHE"
 Record = dict[str, str]
 
 
-def cache_dir_from_env() -> str | None:
-    return os.environ.get(ENV_VAR) or None
-
-
 def _path_for(directory: str, key: str) -> str:
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in key)
     return os.path.join(directory, f"{safe}.tsv")

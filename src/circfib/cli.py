@@ -24,6 +24,7 @@ that `parse_word` validated or the engine built.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import group
@@ -143,20 +144,15 @@ def _tree_bits(t, ell: int) -> Record:
     }
 
 
-def _bound(value: int | None, default: int) -> int:
-    # an explicit 0 is a bound too, and is refused downstream
-    return default if value is None else value
-
-
-def _cached_records(args, bound: int, name: str, compute):
+def _cached_records(args, limit: dict, name: str, compute):
     """The records of an ell-keyed listing, read from the disk cache when
     one is set.  The bound and the listing ceiling are refused first,
     whatever the cache holds."""
     from . import cache
 
-    group.check_ceiling(args.ell, bound, group.LISTING_CEILING, "listing")
-    directory = args.cache_dir or cache.cache_dir_from_env()
-    if directory is None:
+    group.check_ceiling(args.ell, group.LISTING_CEILING, "listing", **limit)
+    directory = args.cache_dir or os.environ.get(cache.ENV_VAR)
+    if not directory:  # an empty CIRCFIB_CACHE means no cache
         return compute()
     key = f"{name}:ell={args.ell}"
     records = cache.cache_load(directory, key)
@@ -167,6 +163,10 @@ def _cached_records(args, bound: int, name: str, compute):
 
 
 def dispatch(args) -> tuple[list[Record], int]:
+    # --max-ell only when given, so each library function keeps its own
+    # default; an explicit 0 is a bound too, and is refused downstream
+    limit = {} if args.max_ell is None else {"max_ell": args.max_ell}
+
     if args.command == "reduce":
         w = parse_word(args.word)
         return [{"word": w, "normal_form": normalize(w)}], 0
@@ -190,28 +190,26 @@ def dispatch(args) -> tuple[list[Record], int]:
         return [{"k": args.k, "word": w, "product": group.scalar_mul(args.k, w)}], 0
 
     if args.command == "group":
-        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
-            return [{"ell": args.ell, "order": group.decompose(args.ell, bound).order}], 0
+            return [{"ell": args.ell, "order": group.decompose(args.ell, **limit).order}], 0
         if args.list:
 
             def elements():
-                return [{"element": w} for w in group.enumerate_elements(args.ell, bound)]
+                return [{"element": w} for w in group.enumerate_elements(args.ell, **limit)]
 
-            return _cached_records(args, bound, "group-elements", elements), 0
+            return _cached_records(args, limit, "group-elements", elements), 0
         if args.structure:
-            s = group.decompose(args.ell, bound)
+            s = group.decompose(args.ell, **limit)
             e1, e2 = s.invariant_factors
             return [{"ell": args.ell, "order": s.order, "e1": e1, "e2": e2, "d": s.d}], 0
         if args.ell > 4:
             raise ResourceBoundError("addition table supported only for ell <= 4")
-        elements = group.enumerate_elements(args.ell, bound)
+        elements = group.enumerate_elements(args.ell, **limit)
         return [{"lhs": u, "rhs": v, "sum": group.add(u, v)} for u in elements for v in elements], 0
 
     if args.command == "orderq":
         from . import orderq
 
-        bound = _bound(args.max_ell, orderq.DEFAULT_P_GROUP_BOUND)
         if args.min_length:
             return [{"q": args.q, "min_length": orderq.minimal_even_length(args.q)}], 0
         if args.pi:
@@ -220,9 +218,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         if args.elements:
             return [
                 {"element": e.word, "primitive_period": e.primitive}
-                for e in orderq.p_group(args.q, bound)
+                for e in orderq.p_group(args.q, **limit)
             ], 0
-        report = orderq.verify_pi_multiples(args.q, bound)
+        report = orderq.verify_pi_multiples(args.q, **limit)
         records = [
             {"check": "multiples", "status": report.multiples_match},
             {"check": "rotation", "status": report.rotation_match},
@@ -233,14 +231,13 @@ def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "types":
         from . import typology
 
-        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.partition:
             return [
                 {"element": u, "type": typology.classify(u)}
-                for u in group.enumerate_elements(args.ell, bound)
+                for u in group.enumerate_elements(args.ell, **limit)
             ], 0
         if args.image_sets:
-            classes = typology.type_classes(args.ell, bound)
+            classes = typology.type_classes(args.ell, **limit)
             return [
                 {
                     "type": tag,
@@ -250,42 +247,41 @@ def dispatch(args) -> tuple[list[Record], int]:
                 }
                 for tag, cmp in sorted(typology.image_sets(classes).items())
             ], 0
-        ok = typology.sigma_relation_check(typology.type_classes(args.ell, bound))
+        ok = typology.sigma_relation_check(typology.type_classes(args.ell, **limit))
         return [{"check": "rotation-maps-T10-onto-T01", "status": ok}], 0 if ok else 1
 
     if args.command == "fibword":
         from . import typology
 
-        blocks = typology.fib_partition(args.ell, _bound(args.max_ell, group.DEFAULT_ENUM_BOUND))
+        blocks = typology.fib_partition(args.ell, **limit)
         return [b._asdict() for b in blocks], 0
 
     if args.command == "wheel":
         from . import wheels
 
-        bound = _bound(args.max_ell, group.DEFAULT_ENUM_BOUND)
         if args.count:
             return [
                 {
                     "ell": args.ell,
-                    "backtracking": len(wheels.spanning_trees(args.ell, bound)),
+                    "backtracking": len(wheels.spanning_trees(args.ell, **limit)),
                     "determinant": wheels.count_trees_matrix(args.ell),
                 }
             ], 0
         if args.trees:
-            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell, bound)], 0
+            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell, **limit)], 0
         if args.map:
 
             def tree_map():
                 records = []
-                for t in wheels.spanning_trees(args.ell, bound):
+                for t in wheels.spanning_trees(args.ell, **limit):
                     raw = wheels.tree_to_word(t)
                     records.append(
                         {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
                     )
                 return records
 
-            return _cached_records(args, bound, "wheel-map", tree_map), 0
-        report = wheels.identity_fiber_report(args.ell, bound)
+            return _cached_records(args, limit, "wheel-map", tree_map), 0
+        report = wheels.identity_fiber_report(args.ell, **limit)
         return [
             {
                 "ell": args.ell,

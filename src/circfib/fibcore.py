@@ -220,12 +220,17 @@ def check_balanced(letters: str, window: int) -> bool:
     return _balanced_windows(letters, (window,))
 
 
+def _a_prefix(letters: str) -> list[int]:
+    """prefix[i] is the a-count of letters[:i], for i = 0..len(letters)."""
+    return list(accumulate(map(eq, letters, repeat("a")), initial=0))
+
+
 def _balanced_windows(letters: str, windows) -> bool:
     """``check_balanced`` at each window in turn, stopping at the first
     unbalanced one, with one prefix-sum list for them all."""
-    # prefix[i] is the a-count of letters[:i]; each factor's count is a
-    # difference of two prefix sums, and only the distinct counts matter
-    prefix = list(accumulate(map(eq, letters, repeat("a")), initial=0))
+    # each factor's count is a difference of two prefix sums, and only the
+    # distinct counts matter
+    prefix = _a_prefix(letters)
     for window in windows:
         if window < 1 or window > len(letters):
             raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")

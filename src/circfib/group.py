@@ -105,7 +105,7 @@ def check_enum_bound(ell: int, max_ell: int) -> None:
         raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
 
 
-def check_ceiling(ell: int, max_ell: int, ceiling: int, what: str) -> None:
+def check_ceiling(ell: int, ceiling: int, what: str, max_ell: int = DEFAULT_ENUM_BOUND) -> None:
     """``check_enum_bound``, then refuse an ell above a command's fixed
     ceiling, such as ``LISTING_CEILING``, whatever ``max_ell`` allows."""
     check_enum_bound(ell, max_ell)
@@ -117,7 +117,7 @@ def enumerate_elements(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Word
     """All group elements of parameter l, in lexicographic word order."""
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    check_ceiling(ell, max_ell, LISTING_CEILING, "listing")
+    check_ceiling(ell, LISTING_CEILING, "listing", max_ell)
     # the zero word comes first in lex order and (10)^l, the largest
     # admissible word, last; neither is an element
     return list(iter_admissible(2 * ell))[1:-1]

@@ -11,7 +11,7 @@ the run of zeros before the first 1 and the last digit; under this
 package's anchored left-to-right reading the (01)/(10) labels come out
 mirrored relative to the shape rule stated for the opposite reading, and
 that mirrored assignment is the one cross-validated exhaustively against
-the valuation classes (see ``STRUCTURAL_LABELS``).
+the valuation classes (see ``structural_class``).
 
 ``type_classes`` computes the partition once, classifying each element
 once; ``image_sets`` and ``sigma_relation_check`` read it.  The valuation
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidWordError, PartitionError
-from .fibcore import Word, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
+from .fibcore import Word, _a_prefix, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
 from .group import (
     DEFAULT_ENUM_BOUND,
     canonical,
@@ -47,16 +47,6 @@ TAGS = (T01, T10, T11)
 # at l = 18, 4.7-5.1 s and 127 MB at 19 (fresh processes, Python 3.11,
 # 2-vCPU host)
 PARTITION_CEILING = 18
-
-# Shape rule, reading from index 0: odd zero-run before the first 1, or an
-# even zero-run with last digit 0 / 1.  The labels are the mirror of the
-# ones the shapes would carry under the opposite reading direction.
-STRUCTURAL_LABELS = {
-    "odd_run": T01,
-    "even_run_suffix0": T10,
-    "even_run_suffix1": T11,
-}
-
 
 def _target_valuations(ell: int) -> dict[str, int]:
     n = 2 * ell
@@ -92,14 +82,15 @@ def structural_class(u) -> str:
     ell = len(w) // 2
     if w == identity(ell):
         raise InvalidWordError("identity representatives are tagged by convention")
+    # Shape rule, reading from index 0: odd zero-run before the first 1, or an
+    # even zero-run with last digit 0 / 1.  The labels are the mirror of the
+    # ones the shapes would carry under the opposite reading direction.
     run = 0
     while w[run] == 0:
         run += 1
     if run % 2 == 1:
-        return STRUCTURAL_LABELS["odd_run"]
-    if w[-1] == 0:
-        return STRUCTURAL_LABELS["even_run_suffix0"]
-    return STRUCTURAL_LABELS["even_run_suffix1"]
+        return T01
+    return T10 if w[-1] == 0 else T11
 
 
 class ImageSetComparison(NamedTuple):
@@ -114,14 +105,9 @@ class ImageSetComparison(NamedTuple):
 
 
 def _prefix_counts(upto: int) -> list[tuple[int, int]]:
-    word = fibonacci_word_prefix(max(upto, 0))
-    counts = []
-    a = 0
-    for k in range(upto):
-        counts.append((a, k - a))
-        if k < len(word) and word[k] == "a":
-            a += 1
-    return counts
+    """(a-count, b-count) of each prefix M_k of the infinite word, k < upto."""
+    prefix = _a_prefix(fibonacci_word_prefix(upto))
+    return [(a, k - a) for k, a in enumerate(prefix[:upto])]
 
 
 def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, frozenset[Word]]:
@@ -196,7 +182,7 @@ def fib_partition(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Partition
     """
     if ell <= 2:
         raise InvalidWordError(f"ell must be > 2, got {ell}")
-    check_ceiling(ell, max_ell, PARTITION_CEILING, "partition")
+    check_ceiling(ell, PARTITION_CEILING, "partition", max_ell)
     total = fib(2 * ell - 2)
     word = "b" + fibonacci_word_prefix(total)
     k = d_value(ell)

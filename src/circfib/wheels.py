@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidWordError
-from .fibcore import Word, as_word
+from .fibcore import Word
 from .group import (
     DEFAULT_ENUM_BOUND,
     LISTING_CEILING,
@@ -69,7 +69,7 @@ def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
 
 def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTree]:
     """All spanning trees, by backtracking with union-find acyclicity."""
-    check_ceiling(ell, max_ell, LISTING_CEILING, "listing")
+    check_ceiling(ell, LISTING_CEILING, "listing", max_ell)
     edges = wheel_edges(ell)
     need = ell  # a spanning tree of l+1 vertices has l edges
     parent = list(range(ell + 1))
@@ -153,30 +153,6 @@ def taxonomy(tree: WheelTree) -> Word:
     return normalize(tree_to_word(tree))
 
 
-def is_tree_word(word) -> bool:
-    """True iff the word is binary, nonzero, and its cyclic zero blocks have even length.
-
-    These are exactly the raw taxonomy words of spanning trees.
-    """
-    w = as_word(word)
-    if any(d > 1 for d in w):
-        return False
-    if not any(w):
-        return False
-    n = len(w)
-    start = w.index(1)
-    run = 0
-    for k in range(1, n + 1):
-        d = w[(start + k) % n]
-        if d == 0:
-            run += 1
-        else:
-            if run % 2 == 1:
-                return False
-            run = 0
-    return True
-
-
 @lru_cache(maxsize=32)
 def taxonomy_table(ell: int) -> dict[Word, WheelTree]:
     """Inverse of the taxonomy map, built by enumeration.
@@ -234,7 +210,9 @@ class IdentityFiberReport(NamedTuple):
 
 
 def _tree_words(ell: int) -> frozenset[Word]:
-    """The words of length 2l that ``is_tree_word`` accepts, generated.
+    """The tree words of length 2l, generated: the nonzero binary words
+    whose cyclic zero blocks all have even length, which are exactly the
+    raw taxonomy words of spanning trees.
 
     The ones that start with 1 are the tilings by 1 and 00 that start with
     the tile 1: there the wrap block is the trailing block.  Every tree
@@ -268,7 +246,7 @@ def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> Identi
     rather than presuming them.  The bound and ``FIBER_SCAN_CEILING`` are
     checked before the words are generated.
     """
-    check_ceiling(ell, max_ell, FIBER_SCAN_CEILING, "fiber scan")
+    check_ceiling(ell, FIBER_SCAN_CEILING, "fiber scan", max_ell)
     tree_words = _tree_words(ell)
     fiber: dict[Word, int] = {}
     for w in tree_words:

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -60,6 +61,15 @@ def test_multiplicative_order():
     with pytest.raises(InvalidWordError) as exc:
         multiplicative_order(10, 0)
     assert str(exc.value) == "q must be >= 1, got 0"
+
+
+def test_multiplicative_order_matches_a_direct_search():
+    # the loop has no guard: Euler's theorem bounds it by phi(q) <= q
+    for b in range(2, 17):
+        for q in range(1, 301):
+            if gcd(b, q) == 1:
+                n = next(n for n in range(1, q + 1) if pow(b, n, q) == 1 % q)
+                assert multiplicative_order(b, q) == n, (b, q)
 
 
 @pytest.mark.parametrize("value", [100, -1])

@@ -283,6 +283,22 @@ def test_zero_max_ell_is_a_bound(capsys, argv, message):
     assert run_cli(capsys, "--max-ell", "0", *argv) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group", "--ell", "11", "--list"], "ell=11 exceeds enumeration bound 10"),
+        (["group", "--ell", "11", "--count"], "ell=11 exceeds enumeration bound 10"),
+        (["group", "--ell", "11", "--structure"], "ell=11 exceeds enumeration bound 10"),
+        (["wheel", "--ell", "11", "--count"], "ell=11 exceeds enumeration bound 10"),
+        (["wheel", "--ell", "11", "--trees"], "ell=11 exceeds enumeration bound 10"),
+        (["wheel", "--ell", "11", "--map"], "ell=11 exceeds enumeration bound 10"),
+        (["orderq", "--q", "10", "--elements"], "canonical length 60 for q=10 exceeds enumeration bound 2*12"),
+    ],
+)
+def test_no_max_ell_refuses_at_the_library_default(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("bound", ["--max-ell", "--max-q"])
 def test_zero_verify_bound_is_refused(capsys, bound):
     assert run_cli(capsys, bound, "0", "verify") == (

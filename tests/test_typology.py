@@ -2,8 +2,9 @@ from dataclasses import dataclass
 
 import pytest
 
+from circfib import typology
 from circfib.errors import InvalidWordError, PartitionError, ResourceBoundError
-from circfib.fibcore import fib, parse_word, valuation
+from circfib.fibcore import fib, fibonacci_word_prefix, parse_word, valuation
 from circfib.group import d_value, enumerate_elements, identity, scalar_mul
 from circfib.orderq import minimal_even_length, pi_words
 from circfib.typology import (
@@ -104,6 +105,14 @@ def test_image_sets_without_an_offset():
     assert sets[T01].offset is None and sets[T11].offset is None
     assert sets[T10].offset == 0
     assert not sigma_relation_check(classes)
+
+
+def test_prefix_counts_match_a_direct_count():
+    # counts[k] holds the letter counts of the first k letters, k < upto
+    for upto in range(301):
+        word = fibonacci_word_prefix(upto)
+        expected = [(word[:k].count("a"), word[:k].count("b")) for k in range(upto)]
+        assert typology._prefix_counts(upto) == expected, upto
 
 
 def test_sigma_relation():

@@ -4,13 +4,12 @@ import pytest
 
 from circfib import wheels
 from circfib.errors import InvalidWordError, ResourceBoundError
-from circfib.fibcore import format_word, parse_word
+from circfib.fibcore import as_word, format_word, parse_word
 from circfib.group import add, enumerate_elements, identity
 from circfib.wheels import (
     WheelTree,
     count_trees_matrix,
     identity_fiber_report,
-    is_tree_word,
     spanning_trees,
     star_tree,
     taxonomy,
@@ -21,6 +20,31 @@ from circfib.wheels import (
 )
 
 A004146 = [1, 5, 16, 45, 121, 320, 841, 2205]
+
+
+def is_tree_word(word) -> bool:
+    """True iff the word is binary, nonzero, and its cyclic zero blocks have
+    even length: the filter that ``wheels._tree_words`` is checked against.
+
+    These are exactly the raw taxonomy words of spanning trees.
+    """
+    w = as_word(word)
+    if any(d > 1 for d in w):
+        return False
+    if not any(w):
+        return False
+    n = len(w)
+    start = w.index(1)
+    run = 0
+    for k in range(1, n + 1):
+        d = w[(start + k) % n]
+        if d == 0:
+            run += 1
+        else:
+            if run % 2 == 1:
+                return False
+            run = 0
+    return True
 
 
 def test_wheel_edges_degenerate_cases():
