@@ -59,6 +59,14 @@ def render(records: list[Record], fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _modes(parser, *flags):
+    """A command's required choice of exactly one of the given mode flags."""
+    modes = parser.add_mutually_exclusive_group(required=True)
+    for flag in flags:
+        modes.add_argument(flag, action="store_true")
+    return modes
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circfib",
@@ -92,26 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="the group of admissible words of length 2*ell")
     p.add_argument("--ell", type=int, required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--list", action="store_true")
-    mode.add_argument("--count", action="store_true")
-    mode.add_argument("--structure", action="store_true")
-    mode.add_argument("--table", action="store_true", help="full addition table (ell <= 4)")
+    _modes(p, "--list", "--count", "--structure").add_argument(
+        "--table", action="store_true", help="full addition table (ell <= 4)"
+    )
 
     p = sub.add_parser("orderq", help="the group of words of order dividing q")
     p.add_argument("--q", type=int, required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--min-length", action="store_true")
-    mode.add_argument("--pi", action="store_true")
-    mode.add_argument("--elements", action="store_true")
-    mode.add_argument("--verify", action="store_true")
+    _modes(p, "--min-length", "--pi", "--elements", "--verify")
 
     p = sub.add_parser("types", help="type partition of the group")
     p.add_argument("--ell", type=int, required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--partition", action="store_true")
-    mode.add_argument("--image-sets", action="store_true")
-    mode.add_argument("--verify", action="store_true")
+    _modes(p, "--partition", "--image-sets", "--verify")
 
     p = sub.add_parser("fibword", help="balanced partition of the infinite-word prefix")
     p.add_argument("--ell", type=int, required=True)
@@ -119,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wheel", help="spanning trees of the ell-wheel")
     p.add_argument("--ell", type=int, required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--count", action="store_true")
-    mode.add_argument("--trees", action="store_true")
-    mode.add_argument("--map", action="store_true")
-    mode.add_argument("--verify-bijection", action="store_true")
+    _modes(p, "--count", "--trees", "--map", "--verify-bijection")
 
     p = sub.add_parser("gcd-check", help="gcd compatibility of the d sequence")
     p.add_argument("--max", type=int, default=30)

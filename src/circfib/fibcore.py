@@ -185,25 +185,20 @@ def _format_word(w: Word) -> str:
     return ",".join(map(str, w))
 
 
-_WORD_ITERATE = "abaababa"
-_WORD_LOCK = threading.Lock()
 _SUBSTITUTION = str.maketrans({"a": "ab", "b": "a"})
 
 
 def fibonacci_word_prefix(n: int) -> str:
-    """Prefix of length n of the fixed point of a -> ab, b -> a."""
+    """Prefix of length n of the fixed point of a -> ab, b -> a.
+
+    Each call iterates the substitution from "a" until the word is long
+    enough, and keeps nothing: no caller asks twice for a long prefix.
+    """
     if n < 0:
         raise InvalidWordError(f"prefix length must be nonnegative, got {n}")
-    global _WORD_ITERATE
-    word = _WORD_ITERATE
-    if len(word) < n:
-        # Grow a local copy and publish it under the lock, so the global
-        # only ever lengthens and the slice below reads the local.
-        with _WORD_LOCK:
-            word = _WORD_ITERATE
-            while len(word) < n:
-                word = word.translate(_SUBSTITUTION)
-            _WORD_ITERATE = word
+    word = "a"
+    while len(word) < n:
+        word = word.translate(_SUBSTITUTION)
     return word[:n]
 
 

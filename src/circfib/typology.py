@@ -82,13 +82,11 @@ def structural_class(u) -> str:
     ell = len(w) // 2
     if w == identity(ell):
         raise InvalidWordError("identity representatives are tagged by convention")
-    # Shape rule, reading from index 0: odd zero-run before the first 1, or an
-    # even zero-run with last digit 0 / 1.  The labels are the mirror of the
-    # ones the shapes would carry under the opposite reading direction.
-    run = 0
-    while w[run] == 0:
-        run += 1
-    if run % 2 == 1:
+    # Shape rule, reading from index 0: odd zero-run before the first 1 (there
+    # is one: ``canonical`` refused the zero word), or an even zero-run with
+    # last digit 0 / 1.  The labels are the mirror of the ones the shapes
+    # would carry under the opposite reading direction.
+    if w.index(1) % 2 == 1:
         return T01
     return T10 if w[-1] == 0 else T11
 
@@ -113,15 +111,13 @@ def _prefix_counts(upto: int) -> list[tuple[int, int]]:
 def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, frozenset[Word]]:
     """The type partition of the group: each tag's class as a set of words.
 
-    Every element but the identity is classified once.  By convention the
-    identity is represented in two classes, as (01)^l in T01 and as
-    (10)^l in T10.
+    Every element is classified once; ``classify`` tags the identity
+    (01)^l T01.  By convention the identity is also represented in T10,
+    as (10)^l, which is not an element.
     """
-    ident = identity(ell)
-    classes: dict[str, set[Word]] = {T01: {ident}, T10: {rotate(ident)}, T11: set()}
+    classes: dict[str, set[Word]] = {T01: set(), T10: {rotate(identity(ell))}, T11: set()}
     for u in enumerate_elements(ell, max_ell):
-        if u != ident:
-            classes[classify(u)].add(u)
+        classes[classify(u)].add(u)
     return {tag: frozenset(words) for tag, words in classes.items()}
 
 

@@ -352,20 +352,12 @@ def criterion_types(max_ell: int) -> list[Claim]:
             cmp = sets[tag]
             both = f"computed {_set_preview(cmp.computed)}, formula {_set_preview(cmp.formula)}"
             if cmp.offset is None:
-                claims.append(
-                    Claim("8", f"{tag} image set ell={ell}", FAIL, f"no constant offset fits; {both}")
-                )
+                status, detail = FAIL, f"no constant offset fits; {both}"
             elif cmp.offset == 0:
-                claims.append(Claim("8", f"{tag} image set ell={ell}", PASS, "offset 0"))
+                status, detail = PASS, "offset 0"
             else:
-                claims.append(
-                    Claim(
-                        "8",
-                        f"{tag} image set ell={ell}",
-                        DISCREPANCY,
-                        f"constant offset {cmp.offset:+d}; {both}",
-                    )
-                )
+                status, detail = DISCREPANCY, f"constant offset {cmp.offset:+d}; {both}"
+            claims.append(Claim("8", f"{tag} image set ell={ell}", status, detail))
     return claims
 
 

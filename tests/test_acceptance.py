@@ -459,3 +459,101 @@ def test_wrong_binary_sum_is_caught(monkeypatch):
         ),
         ("binary value map is isomorphism n<=4", verify.FAIL, ""),
     ]
+
+
+def test_raised_structure_certificate_is_reported(monkeypatch):
+    # a certificate that raises for the ell = 4 group (45 elements) only
+    from circfib import group
+    from circfib.errors import StructureMismatchError
+
+    certify_factors = group.certify_factors
+
+    def corrupted(elements):
+        if len(elements) == 45:
+            raise StructureMismatchError("no second generator")
+        return certify_factors(elements)
+
+    monkeypatch.setattr(group, "certify_factors", corrupted)
+    claims = verify.criterion_structure(max_ell=5)
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        ("structure ell=2", verify.PASS, "certified (5, 1), predicted (5, 1)"),
+        ("structure ell=3", verify.PASS, "certified (4, 4), predicted (4, 4)"),
+        ("structure ell=4", verify.FAIL, "no second generator"),
+        ("structure ell=5", verify.PASS, "certified (11, 11), predicted (11, 11)"),
+    ]
+
+
+def test_unclosed_mixed_length_sum_is_caught(monkeypatch):
+    # a mixed-length sum one digit too long unless it adds the identity (01):
+    # only the three sampled pairs see it, so the identity law rows still pass
+    from circfib import group, orderq
+
+    oplus = orderq.oplus
+
+    def corrupted(u, v):
+        s = oplus(u, v)
+        return s if v == group.identity(1) else s + (0,)
+
+    monkeypatch.setattr(orderq, "oplus", corrupted)
+    claims = verify.criterion_p_group(max_q=2)
+    assert [(c.subject, c.status) for c in claims] == [
+        ("order-q group q=2", verify.PASS),
+        ("distinguished pair span q=2", verify.PASS),
+        ("mixed-length identity ell=1", verify.PASS),
+        ("mixed-length identity ell=2", verify.PASS),
+        ("mixed-length identity ell=3", verify.PASS),
+        ("mixed-length closure sampled", verify.FAIL),
+    ]
+
+
+def test_raised_type_partition_is_reported(monkeypatch):
+    # a partition routine that raises at ell = 3 only: the totality row
+    # fails, and ell = 3 gets no image set rows
+    from circfib import typology
+    from circfib.errors import PartitionError
+
+    type_classes = typology.type_classes
+
+    def corrupted(ell, *args):
+        if ell == 3:
+            raise PartitionError("boom")
+        return type_classes(ell, *args)
+
+    monkeypatch.setattr(typology, "type_classes", corrupted)
+    claims = verify.criterion_types(max_ell=4)
+    assert [(c.subject, c.status) for c in claims] == [
+        ("classify total ell<=4", verify.FAIL),
+        ("structural rule agrees with classify", verify.PASS),
+        ("rotation maps T10 onto T01", verify.FAIL),
+        ("T10 image set ell=2", verify.PASS),
+        ("T01 image set ell=2", verify.DISCREPANCY),
+        ("T11 image set ell=2", verify.PASS),
+        ("T10 image set ell=4", verify.PASS),
+        ("T01 image set ell=4", verify.DISCREPANCY),
+        ("T11 image set ell=4", verify.PASS),
+    ]
+
+
+def test_all_ones_binary_sum_is_caught(monkeypatch):
+    # a binary sum that returns the zero class as the all-ones word, which
+    # has the right value modulo 2^n - 1; the decimal table is left alone
+    from circfib import baseb
+
+    circ_add = baseb.circ_add_base_b
+
+    def corrupted(u, v):
+        s = circ_add(u, v)
+        if s.base == 2 and not any(s.digits):
+            return baseb.BaseBWord((1,) * len(s.digits), 2)
+        return s
+
+    monkeypatch.setattr(baseb, "circ_add_base_b", corrupted)
+    claims = verify.criterion_base_b()
+    assert [(c.subject, c.status, c.detail) for c in claims] == [
+        (
+            "decimal period 1/7 table",
+            verify.PASS,
+            "142857 285714 428571 571428 714285 857142 000000",
+        ),
+        ("binary value map is isomorphism n<=4", verify.FAIL, ""),
+    ]

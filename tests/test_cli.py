@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from circfib import cache, verify, wheels
-from circfib.cli import main, render
+from circfib.cli import dispatch, main, render
+from circfib.errors import CircfibError
 
 
 def parse_records(text, fmt):
@@ -150,6 +152,95 @@ def test_wheel_subcommands(capsys):
     assert record["backtracking"] == record["determinant"] == "45"
     code, out, _ = run_cli(capsys, "wheel", "--ell", "2", "--verify-bijection")
     assert code == 0 and parse_records(out, "tsv")[0]["status"] == "pass"
+
+
+# each command with a required choice of one mode: its argv without a mode,
+# two modes it refuses together, --help at 80 columns, and the two errors
+MODE_GROUPS = {
+    "group": (
+        ["--ell", "2"],
+        ["--list", "--table"],
+        """\
+usage: circfib group [-h] --ell ELL (--list | --count | --structure | --table)
+
+options:
+  -h, --help   show this help message and exit
+  --ell ELL
+  --list
+  --count
+  --structure
+  --table      full addition table (ell <= 4)
+""",
+        "one of the arguments --list --count --structure --table is required",
+        "argument --table: not allowed with argument --list",
+    ),
+    "orderq": (
+        ["--q", "2"],
+        ["--pi", "--verify"],
+        """\
+usage: circfib orderq [-h] --q Q (--min-length | --pi | --elements | --verify)
+
+options:
+  -h, --help    show this help message and exit
+  --q Q
+  --min-length
+  --pi
+  --elements
+  --verify
+""",
+        "one of the arguments --min-length --pi --elements --verify is required",
+        "argument --verify: not allowed with argument --pi",
+    ),
+    "types": (
+        ["--ell", "2"],
+        ["--partition", "--verify"],
+        """\
+usage: circfib types [-h] --ell ELL (--partition | --image-sets | --verify)
+
+options:
+  -h, --help    show this help message and exit
+  --ell ELL
+  --partition
+  --image-sets
+  --verify
+""",
+        "one of the arguments --partition --image-sets --verify is required",
+        "argument --verify: not allowed with argument --partition",
+    ),
+    "wheel": (
+        ["--ell", "2"],
+        ["--count", "--map"],
+        """\
+usage: circfib wheel [-h] --ell ELL
+                     (--count | --trees | --map | --verify-bijection)
+
+options:
+  -h, --help          show this help message and exit
+  --ell ELL
+  --count
+  --trees
+  --map
+  --verify-bijection
+""",
+        "one of the arguments --count --trees --map --verify-bijection is required",
+        "argument --map: not allowed with argument --count",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODE_GROUPS))
+def test_mode_group_help_and_usage_errors(capsys, monkeypatch, command):
+    required, two, help_text, no_mode, two_modes = MODE_GROUPS[command]
+    usage = help_text.split("\n\n")[0] + "\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, out, err in (
+        (["--help"], 0, help_text, ""),
+        (required, 2, "", f"{usage}circfib {command}: error: {no_mode}\n"),
+        (required + two, 2, "", f"{usage}circfib {command}: error: {two_modes}\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert (exc.value.code, *capsys.readouterr()) == (code, out, err), argv
 
 
 def test_demo_base(capsys):
@@ -606,3 +697,10 @@ def test_python_dash_m(capsys, module):
         [sys.executable, "-m", module, "reduce", "020111"], env=env, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+def test_dispatch_refuses_an_unknown_command():
+    # argparse admits only the known commands, so only a caller of dispatch can get here
+    args = argparse.Namespace(command="bogus", max_ell=None)
+    with pytest.raises(CircfibError, match="unknown command 'bogus'"):
+        dispatch(args)

@@ -190,6 +190,12 @@ def test_decompose_examples():
     assert decompose(6) == GroupStructure(320, (40, 8), 8)
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_decompose_refuses_ell_below_one(ell):
+    with pytest.raises(InvalidWordError, match=f"ell must be >= 1, got {ell}"):
+        decompose(ell)
+
+
 def test_decompose_matches_prediction():
     # the lattice reading against the enumerated group and its certificate
     for ell in range(1, 11):
@@ -242,6 +248,12 @@ def test_certify_factors_needs_a_second_generator():
     assert len(order_four) == 12
     with pytest.raises(StructureMismatchError):
         certify_factors(order_four[:8])
+
+
+def test_certify_factors_needs_an_exponent_dividing_the_order():
+    # one element of order 5 is no group: its order does not divide the count
+    with pytest.raises(StructureMismatchError, match="exponent 5 does not divide order 1"):
+        certify_factors([(0, 0, 0, 1)])
 
 
 def test_element_order_matches_iterated_add():

@@ -45,6 +45,21 @@ def test_minimal_even_length_cross_check():
         assert minimal_even_length(q) == 2 * ell, q
 
 
+def test_minimal_even_length_scan_limit(monkeypatch):
+    # q = 89 first repeats at n = 44
+    monkeypatch.setattr(orderq, "_SCAN_LIMIT", 10)
+    message = "no admissible period length found for q=89 up to 10"
+    with pytest.raises(ResourceBoundError, match=message):
+        minimal_even_length(89)
+
+
+def test_pi_words_refuses_a_word_that_is_not_cyclically_admissible(monkeypatch):
+    # a greedy word with a 1 at both ends is admissible only when read linearly
+    monkeypatch.setattr(orderq, "zeckendorf", lambda value, n: (1,) + (0,) * (n - 2) + (1,))
+    with pytest.raises(InvalidWordError, match="distinguished word not cyclically admissible"):
+        pi_words(4)
+
+
 def test_pi_words_examples():
     assert tuple(map(format_word, pi_words(4))) == ("000100", "001000")
     assert tuple(map(format_word, pi_words(3))) == ("00010100", "00101000")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -30,6 +31,14 @@ def test_classify_identity_conventions():
     assert classify(identity(3)) == T01
     # the other identity representative canonicalizes to (01)^l first
     assert classify(parse_word("1010")) == T01
+
+
+def test_classify_refuses_an_element_outside_every_class(monkeypatch):
+    # no element's valuation sum is 0, so none satisfies a class equation
+    monkeypatch.setattr(typology, "_target_valuations", lambda ell: dict.fromkeys(typology.TAGS, 0))
+    message = "element (0, 0, 0, 1) matches 0 class equations"
+    with pytest.raises(PartitionError, match=re.escape(message)):
+        classify((0, 0, 0, 1))
 
 
 def test_classify_total_and_unique():
@@ -155,6 +164,37 @@ def test_fib_partition_domain():
     with pytest.raises(ResourceBoundError, match="ell=40 exceeds enumeration bound 10"):
         fib_partition(40)
     assert len(fib_partition(11, max_ell=11)) == d_value(11)
+
+
+def _flipped_at(i):
+    """fibonacci_word_prefix with the letter at index i flipped."""
+
+    def prefix(n):
+        w = list(fibonacci_word_prefix(n))
+        w[i] = "b" if w[i] == "a" else "a"
+        return "".join(w)
+
+    return prefix
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("d_value", lambda ell: 4, "block count 4 does not divide 21"),
+        ("fibonacci_word_prefix", _flipped_at(-1), "trailing letter of the split is 'b', not 'a'"),
+        (
+            "fibonacci_word_prefix",
+            _flipped_at(0),
+            "blocks at ell=4 have non-constant counts: {(3, 4), (4, 3)}",
+        ),
+    ],
+    ids=["block-count", "trailing-letter", "counts"],
+)
+def test_fib_partition_refuses_a_wrong_split(monkeypatch, name, value, message):
+    # at ell = 4 the word is 'b' + 21 letters, in d(4) = 3 blocks of 7
+    monkeypatch.setattr(typology, name, value)
+    with pytest.raises(PartitionError, match=re.escape(message)):
+        fib_partition(4)
 
 
 @dataclass(frozen=True)
