@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import eq, sub
+from operator import eq
 
 from .errors import CapacityError, InvalidWordError, ResourceBoundError
 
@@ -154,7 +154,7 @@ def alternating_word(n: int, first: int = 0) -> Word:
         raise InvalidWordError(f"length must be >= 1, got {n}")
     if first not in (0, 1):
         raise InvalidWordError("first digit must be 0 or 1")
-    return tuple((i + first) % 2 for i in range(n))
+    return (first, 1 - first) * (n // 2) + (first,) * (n % 2)
 
 
 def parse_word(text: str) -> Word:
@@ -222,14 +222,22 @@ def _a_prefix(letters: str) -> list[int]:
 
 def _balanced_windows(letters: str, windows) -> bool:
     """``check_balanced`` at each window in turn, stopping at the first
-    unbalanced one, with one prefix-sum list for them all."""
-    # each factor's count is a difference of two prefix sums, and only the
-    # distinct counts matter
-    prefix = _a_prefix(letters)
+    unbalanced one, with one set of factors for them all."""
+    n = len(letters)
+    windows = tuple(windows)
+    top = max((w for w in windows if 1 <= w <= n), default=1)
+    # heads holds the factor of length up to top that starts at each i: top
+    # long for i <= n - top, then a suffix of the last top - 1 letters.
+    # Every factor of a length w <= top is the first w letters of a head at
+    # least w long, so the heads cover every window.  A balanced word, such
+    # as a prefix of the Fibonacci word, has at most top + 1 distinct factors
+    # of length top (Lothaire 2002, ch. 2), so there the set holds at most
+    # 2 * top heads.  Only the distinct counts of each window matter.
+    heads = {letters[i : i + top] for i in range(n)}
     for window in windows:
-        if window < 1 or window > len(letters):
-            raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
-        counts = set(map(sub, prefix[window:], prefix))
+        if window < 1 or window > n:
+            raise InvalidWordError(f"window must be in 1..{n}, got {window}")
+        counts = {f[:window].count("a") for f in heads if len(f) >= window}
         if max(counts) - min(counts) > 1:
             return False
     return True

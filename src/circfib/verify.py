@@ -18,10 +18,10 @@ from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, ResourceBoundError, StructureMismatchError
 from .fibcore import (
     _balanced_windows,
-    _is_admissible,
     alternating_word,
     fibonacci_word_prefix,
     is_admissible,
+    iter_admissible,
     rotate,
 )
 from .rewrite import move_classes, normalize
@@ -126,9 +126,10 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     components = identity_components = 0
     ok = True
     id0, id1 = alternating_word(n, 0), alternating_word(n, 1)
+    words = set(iter_admissible(n))
     for members in move_classes(n):
         components += 1
-        admissible = {x for x in members if _is_admissible(x)}
+        admissible = words.intersection(members)
         if admissible == {id0, id1}:
             identity_components += 1
             target = id0
@@ -136,7 +137,7 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
             (target,) = admissible
         else:
             return components, identity_components, False
-        if any(normalize(x) != target for x in members):
+        if any(map(target.__ne__, map(normalize, members))):
             ok = False
     return components, identity_components, ok
 

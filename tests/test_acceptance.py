@@ -12,7 +12,7 @@ import time
 import pytest
 
 from circfib import verify
-from circfib.fibcore import is_admissible
+from circfib.fibcore import _is_admissible, is_admissible, iter_admissible
 
 
 def _drive(name, claims):
@@ -267,6 +267,14 @@ def test_merged_move_classes_are_caught(monkeypatch):
     ] * 3
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_admissible_members_are_one_set_intersection(n):
+    # criterion 3 reads each class's admissible words off one set of them
+    words = set(iter_admissible(n))
+    for members in verify.move_classes(n):
+        assert words.intersection(members) == {x for x in members if _is_admissible(x)}
+
+
 def test_split_move_class_is_caught(monkeypatch):
     # a partition that splits the last class into its admissible words (the
     # identity pair at n = 4 and 6) and the rest, which then holds none
@@ -357,6 +365,24 @@ def test_wrong_taxonomy_is_caught(monkeypatch):
     assert status["taxonomy bijective ell<=4"] == verify.FAIL
     assert status["even-zero-block characterization ell<=4"] == verify.PASS
     assert status["transported group laws ell<=3"] == verify.PASS
+
+
+def test_wrong_transported_law_at_ell_1_is_caught(monkeypatch):
+    # a transported law that is wrong on the one tree of ell = 1 only, which
+    # the laws row sees only if it starts at ell = 1
+    from circfib import wheels
+
+    tree_add = wheels.tree_add
+
+    def corrupted(t1, t2):
+        return wheels.WheelTree(1, frozenset(), frozenset()) if t1.ell == 1 else tree_add(t1, t2)
+
+    right = {c.subject: c.status for c in verify.criterion_wheels(max_ell=4)}
+    monkeypatch.setattr(wheels, "tree_add", corrupted)
+    status = {c.subject: c.status for c in verify.criterion_wheels(max_ell=4)}
+    assert right.pop("transported group laws ell<=3") == verify.PASS
+    assert status.pop("transported group laws ell<=3") == verify.FAIL
+    assert status == right
 
 
 def test_taxonomy_collision_is_reported(monkeypatch):

@@ -120,6 +120,24 @@ def test_codec_input_checks(call, message):
     assert str(exc.value) == message
 
 
+def _generator_alternating_word(n, first=0):
+    # the per-index generator form that tuple repetition replaced
+    if n < 1:
+        raise InvalidWordError(f"length must be >= 1, got {n}")
+    if first not in (0, 1):
+        raise InvalidWordError("first digit must be 0 or 1")
+    return tuple((i + first) % 2 for i in range(n))
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, -1])
+def test_alternating_word_matches_generator_form(first):
+    for n in range(-1, 41):
+        outcome = _outcome(lambda k: alternating_word(k, first), n)
+        assert outcome == _outcome(lambda k: _generator_alternating_word(k, first), n)
+        if outcome[0] == "ok":
+            assert all(type(d) is int for d in outcome[1])
+
+
 def test_zeckendorf_examples():
     assert format_word(zeckendorf(5, 6)) == "000100"
     assert format_word(zeckendorf(0, 4)) == "0000"
@@ -402,6 +420,45 @@ def test_balanced_windows_match_one_check_per_window(letters, k):
     windows = range(1, k + 1)
     assert _outcome(lambda s: fibcore._balanced_windows(s, windows), letters) == _outcome(
         lambda s: all(check_balanced(s, w) for w in windows), letters
+    )
+
+
+def _balanced_by_prefix_sums(letters, windows):
+    # the prefix-sum route that the set of distinct factors replaced: each
+    # factor's a-count is a difference of two prefix sums
+    prefix = list(itertools.accumulate((c == "a" for c in letters), initial=0))
+    for window in windows:
+        if window < 1 or window > len(letters):
+            raise InvalidWordError(f"window must be in 1..{len(letters)}, got {window}")
+        counts = {b - a for a, b in zip(prefix, prefix[window:])}
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+@st.composite
+def _flipped_prefix_and_windows(draw):
+    # a Fibonacci prefix with at most one letter flipped, anywhere or in the
+    # last 60 letters, where the factors are read off the tail; then a
+    # shuffled subset of the windows 1..60, perhaps with an invalid one inside
+    n = draw(st.integers(min_value=60, max_value=3000))
+    letters = fibonacci_word_prefix(n)
+    flip = draw(st.none() | st.integers(0, n - 1) | st.integers(n - 60, n - 1))
+    if flip is not None:
+        letters = letters[:flip] + {"a": "b", "b": "a"}[letters[flip]] + letters[flip + 1 :]
+    windows = draw(st.permutations(range(1, 61)))[: draw(st.integers(0, 60))]
+    invalid = draw(st.none() | st.sampled_from([0, n + 1]))
+    if invalid is not None:
+        windows.insert(draw(st.integers(0, len(windows))), invalid)
+    return letters, windows
+
+
+@given(_flipped_prefix_and_windows())
+@settings(deadline=None)
+def test_balanced_windows_match_prefix_sums(case):
+    letters, windows = case
+    assert _outcome(lambda s: fibcore._balanced_windows(s, windows), letters) == _outcome(
+        lambda s: _balanced_by_prefix_sums(s, windows), letters
     )
 
 
