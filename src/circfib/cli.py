@@ -252,6 +252,20 @@ def dispatch(args) -> tuple[list[Record], int]:
         return [b._asdict() for b in blocks], 0
 
     if args.command == "wheel":
+        if args.map:
+
+            def tree_map():
+                from . import wheels  # only on a cache miss: a warm hit reads the file
+
+                records = []
+                for t in wheels.spanning_trees(args.ell, **limit):
+                    raw = wheels.tree_to_word(t)
+                    records.append(
+                        {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
+                    )
+                return records
+
+            return _cached_records(args, limit, "wheel-map", tree_map), 0
         from . import wheels
 
         if args.count:
@@ -264,18 +278,6 @@ def dispatch(args) -> tuple[list[Record], int]:
             ], 0
         if args.trees:
             return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell, **limit)], 0
-        if args.map:
-
-            def tree_map():
-                records = []
-                for t in wheels.spanning_trees(args.ell, **limit):
-                    raw = wheels.tree_to_word(t)
-                    records.append(
-                        {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
-                    )
-                return records
-
-            return _cached_records(args, limit, "wheel-map", tree_map), 0
         report = wheels.identity_fiber_report(args.ell, **limit)
         return [
             {

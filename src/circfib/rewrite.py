@@ -22,10 +22,11 @@ identified; (01)^l is the canonical representative.
 ``orbit`` explores the class of one word by breadth-first search over
 both directions; it serves ``circfib orbit`` and is the reference oracle in
 the tests.  ``move_classes`` partitions all {0,1,2}-words of a length at
-once, by breadth-first searches on sets of base-4 codes held as int
-bitsets, stepping through the rule A moves both ways at digit cap 3 (at
-that cap a rule B move is a composition of two rule A moves, so the
-classes are the same), with one search per rotation orbit of classes.
+once: each search grows a set of base-4 codes, held as an int bitset, in
+place by sweeps of the rule A moves both ways at digit cap 3 until a sweep
+adds nothing (at that cap a rule B move is a composition of two rule A
+moves, so the classes are the same), with one search per rotation orbit of
+classes and each rotation of a searched class recorded once.
 ``normalize`` is the production normalizer and has one route: validate the
 word, map it to its pair in Z[phi] (``fibcore.phi_pair``), and let
 ``decode_pair`` reconstruct the admissible representative of that pair's
@@ -44,7 +45,9 @@ keyed by residue (the proof that the key names the residue is next to
 and ``equivalent`` call ``as_word``, ``group.add`` sums two validated
 words, and each hands the tuple to ``_normalize_word``, the one layer,
 which refuses an odd length, the zero word and a length past the Fibonacci
-ceiling, and decodes.  The routes are independent;
+ceiling, and decodes with the record it has read (``_decode``, which
+``decode_pair`` wraps), so one normalize reads ``_length_table`` once.  The
+routes are independent;
 ``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
 ``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
 tests check ``move_classes`` against ``orbit`` and against a union-find
@@ -196,12 +199,15 @@ def move_classes(n: int) -> list[list[Word]]:
     digits at most 3, the digit cap at which ``orbit`` explores the same
     classes.  Words are coded in base 4 with the first digit most
     significant, so code order is lexicographic order, and a set of codes
-    is an int with bit c set for each code c in it.  A breadth-first search
-    from one seed steps through the forward rule A moves and their inverses
-    on whole sets at once: a backward move is the inverse of a forward one,
-    and a rule B move within the cap is two rule A moves within the cap (see
-    below), so these steps alone give the same connectivity.  Classes come
-    in the lexicographic order of their first members, and members in
+    is an int with bit c set for each code c in it.  Each search grows the
+    set of one seed in place, by rounds of steps on the whole set: the
+    forward rule A moves at positions 0..n-1, then their inverses at n-1..0.
+    The search stops after a round that adds nothing, when the set is
+    closed under every step, so it is the seed's class: each step only adds
+    codes reachable by a move.  A backward move is the inverse of a forward
+    one, and a rule B move within the cap is two rule A moves within the cap
+    (see below), so these steps alone give the same connectivity.  Classes
+    come in the lexicographic order of their first members, and members in
     lexicographic order.
     """
     cap = 3
@@ -209,9 +215,10 @@ def move_classes(n: int) -> list[list[Word]]:
     places = [base ** (n - 1 - i) for i in range(n)]
 
     def box(ranges) -> int:
-        # the set of codes whose digit at each slot lies in that slot's range
+        # the set of codes whose digit at each slot lies in that slot's
+        # range, built from the last slot (place 1) up so the set grows
         codes = 1
-        for place, digits in zip(places, ranges):
+        for place, digits in reversed(list(zip(places, ranges))):
             codes = reduce(or_, [codes << d * place for d in digits])
         return codes
 
@@ -224,7 +231,7 @@ def move_classes(n: int) -> list[list[Word]]:
     # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
     # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
     # with the ``orbit`` oracle instead.
-    steps = []  # (codes the step applies to, code shift)
+    forward, backward = [], []  # (codes the step applies to, code shift)
     for k in range(n):
         eats, makes = map(dict, _consume_produce(Move("A", k), n))
         # A slot keeps at least what it loses and, after the move, at most
@@ -233,31 +240,34 @@ def move_classes(n: int) -> list[list[Word]]:
         lose_gain = [(eats.get(i, 0), makes.get(i, 0)) for i in range(n)]
         mask = box(range(lose, min(base, base + lose - gain)) for lose, gain in lose_gain)
         delta = sum((gain - lose) * place for (lose, gain), place in zip(lose_gain, places))
-        steps += (mask, delta), (_shift(mask, delta), -delta)
+        forward.append((mask, delta))
+        backward.append((_shift(mask, delta), -delta))
+    steps = forward + backward[::-1]
     small = box([range(cap)] * n)
     codes = _bits(small)
     # Rotating a class gives a class: the moves at k+1 are those at k with
     # the word rotated, and the cap holds digit by digit.  So one search
-    # serves a whole rotation orbit of classes.
-    top = places[0]
+    # serves a whole rotation orbit of classes, and the class rotated j
+    # slots is new exactly when the seed rotated j slots is not yet placed.
     classes, done = [], set()
     for seed in codes[1:]:  # codes[0] is the zero word
         if seed in done:
             continue
-        seen = frontier = 1 << seed
-        while frontier:
-            reached = 0
+        seen = 1 << seed
+        grown = True
+        while grown:
+            before = seen
             for mask, delta in steps:
-                reached |= _shift(frontier & mask, delta)
-            frontier = reached & ~seen
-            seen |= frontier
+                seen |= _shift(seen & mask, delta)
+            grown = seen != before
         members = _bits(seen & small)
-        for _ in range(n):
-            if members[0] not in done:
-                done.update(members)
-                classes.append(members)
-            # the class rotated one slot, w -> w[1:] + w[:1]
-            members = sorted(c % top * base + c // top for c in members)
+        for j in range(n):
+            # rotating j slots, w -> w[j:] + w[:j], moves the first j digits last
+            cut, lift = base ** (n - j), base ** j
+            if seed % cut * lift + seed // cut not in done:
+                rotated = sorted(c % cut * lift + c // cut for c in members)
+                done.update(rotated)
+                classes.append(rotated)
     word_of = dict(zip(codes, itertools.product(range(cap), repeat=n)))
     return [[word_of[c] for c in members] for members in sorted(classes)]
 
@@ -448,7 +458,12 @@ def decode_pair(x: int, y: int, n: int) -> Word:
     At even n up to ``_MEMO_CEILING`` the word found for a residue is kept
     in the length's record and returned when the residue comes again.
     """
-    p, q, norm, max_value, shifts, desc, memo = _length_table(n)  # refuses n < 1 first
+    return _decode(x, y, n, _length_table(n))  # refuses n < 1 first
+
+
+def _decode(x: int, y: int, n: int, record: tuple) -> Word:
+    """``decode_pair`` with the length's ``_length_table`` record already read."""
+    p, q, norm, max_value, shifts, desc, memo = record
     num1, num2 = y * q - x * (p + q), x * q - y * p  # as in _quotient
     if memo is not None:
         key = (num1 % norm, num2 % norm)  # names the residue (see _MEMO_CEILING)
@@ -498,8 +513,8 @@ def _normalize_word(w: Word) -> Word:
         raise InvalidWordError(f"normalization requires even length, got {n}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
-    _length_table(n)  # refuses a length past the Fibonacci ceiling before encoding
-    return decode_pair(*phi_pair(w), n)
+    record = _length_table(n)  # refuses a length past the Fibonacci ceiling before encoding
+    return _decode(*phi_pair(w), n, record)
 
 
 _normalize_cached = _normalize_word

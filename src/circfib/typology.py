@@ -27,7 +27,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidWordError, PartitionError
-from .fibcore import Word, _a_prefix, fib, fibonacci_word_prefix, letter_counts, rotate, valuation
+from .fibcore import (
+    Word,
+    _a_prefix,
+    fib,
+    fibonacci_word_prefix,
+    letter_counts,
+    phi_pair,
+    rotate,
+    valuation,
+)
 from .group import (
     DEFAULT_ENUM_BOUND,
     canonical,
@@ -35,8 +44,8 @@ from .group import (
     d_value,
     enumerate_elements,
     identity,
-    neg,
 )
+from .rewrite import decode_pair
 
 T01 = "T01"
 T10 = "T10"
@@ -63,13 +72,18 @@ def classify(u) -> str:
     The identity, (01)^l once ``canonical`` has mapped (10)^l to it, is
     tagged T01 by convention; every other element must satisfy exactly one
     of the three valuation equations, and a miss raises PartitionError
-    rather than guessing.
+    rather than guessing.  The input is validated once: both valuations
+    are x + 2y of a pair, u's from its ``phi_pair`` (x, y) and -u's from
+    the word that ``decode_pair(-x, -y, n)`` gives, which is ``neg(u)``.
     """
     w = canonical(u)
-    ell = len(w) // 2
+    n = len(w)
+    ell = n // 2
     if w == identity(ell):
         return T01
-    total = valuation(w) + valuation(neg(w))
+    x, y = phi_pair(w)
+    nx, ny = phi_pair(decode_pair(-x, -y, n))
+    total = x + 2 * y + nx + 2 * ny
     hits = [tag for tag, v in _target_valuations(ell).items() if v == total]
     if len(hits) != 1:
         raise PartitionError(f"element {w} matches {len(hits)} class equations")

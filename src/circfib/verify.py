@@ -116,8 +116,8 @@ def criterion_structure(max_ell: int) -> list[Claim]:
 def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     """Partition nonzero {0,1,2}-words of length n into move components.
 
-    The components are ``rewrite.move_classes(n)``: breadth-first searches
-    over the rule A moves at digit cap 3.  Returns (component count,
+    The components are ``rewrite.move_classes(n)``: searches that sweep
+    the rule A moves at digit cap 3 to a fixpoint.  Returns (component count,
     identity-pair component count, all_ok) where all_ok requires every
     component to hold exactly one admissible word (two alternating ones for
     the identity component) and ``normalize`` to return it for every
@@ -302,11 +302,15 @@ def criterion_gcd() -> list[Claim]:
     pairs_ok = True
     for ell, reps in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         elements = group.enumerate_elements(ell)
-        images = {group.repeat_morphism(u, reps) for u in elements}
-        injective = len(images) == len(elements)
+        image = {u: group.repeat_morphism(u, reps) for u in elements}
+        injective = len(set(image.values())) == len(elements)
+
+        def image_of(s):
+            # a sum that is no element, from a wrong law, is mapped on its own
+            return image[s] if s in image else group.repeat_morphism(s, reps)
+
         homomorphic = all(
-            group.repeat_morphism(group.add(u, v), reps)
-            == group.add(group.repeat_morphism(u, reps), group.repeat_morphism(v, reps))
+            image_of(group.add(u, v)) == group.add(image[u], image[v])
             for u, v in itertools.product(elements, repeat=2)
         )
         pairs_ok = pairs_ok and injective and homomorphic

@@ -290,6 +290,35 @@ def test_split_move_class_is_caught(monkeypatch):
         assert verify.uniqueness_scan(n) == expected
 
 
+@pytest.mark.parametrize("wrong", ["shared", "swapped", "collapsed"])
+def test_wrong_repetition_morphism_is_caught(monkeypatch, wrong):
+    # repeat_morphism wrong at ell = 2 only, mapping each u as it maps
+    # source.get(u, u): two elements share one image (neither injective nor
+    # homomorphic); two elements swap images (injective, but no homomorphism:
+    # the group is Z/5, where no automorphism is a single transposition); or
+    # every element maps as the identity (homomorphic, but not injective)
+    from circfib import group
+
+    elements, ident = group.enumerate_elements(2), group.identity(2)
+    a, b = [u for u in elements if u != ident][:2]
+    source = {
+        "shared": {a: b},
+        "swapped": {a: b, b: a},
+        "collapsed": dict.fromkeys(elements, ident),
+    }[wrong]
+    repeat_morphism = group.repeat_morphism
+
+    def corrupted(u, reps):
+        return repeat_morphism(source.get(u, u), reps)
+
+    monkeypatch.setattr(verify.group, "repeat_morphism", corrupted)
+    assert {c.subject: c.status for c in verify.criterion_gcd()} == {
+        "gcd property m,n<=30": verify.PASS,
+        "even-index d equals classical fib": verify.PASS,
+        "repetition morphism pairs": verify.FAIL,
+    }
+
+
 def test_unbalanced_prefix_is_caught(monkeypatch):
     # the Fibonacci word with one letter flipped in the middle
     prefix = verify.fibonacci_word_prefix

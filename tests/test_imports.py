@@ -123,3 +123,24 @@ def test_verify_loads_every_module_but_the_disk_cache():
     assert len(EVERY) == 12
     assert after_verify == [name for name in EVERY if name != "circfib.cache"]
     assert after_list == EVERY
+
+
+MAP_RUN = """
+import sys
+import circfib.cli
+code = circfib.cli.main(sys.argv[1:])
+sys.stdout.flush()
+print("circfib.wheels" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_warm_wheel_map_hit_does_not_load_wheels(tmp_path):
+    # a cold run computes and stores the map; a warm run only reads the file
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    argv = [sys.executable, "-c", MAP_RUN, "--cache-dir", str(tmp_path), "wheel", "--ell", "4", "--map"]
+    cold, warm = (subprocess.run(argv, env=env, capture_output=True, check=True) for _ in range(2))
+    assert os.listdir(tmp_path) == ["wheel-map_ell_4.tsv"]
+    assert (cold.stderr, warm.stderr) == (b"True\n", b"False\n")
+    assert warm.stdout == cold.stdout
+    assert cold.stdout.count(b"\n") == 1 + 45  # the header and the 4-wheel's 45 trees

@@ -6,7 +6,7 @@ import pytest
 from circfib import typology
 from circfib.errors import InvalidWordError, PartitionError, ResourceBoundError
 from circfib.fibcore import fib, fibonacci_word_prefix, parse_word, valuation
-from circfib.group import d_value, enumerate_elements, identity, scalar_mul
+from circfib.group import canonical, d_value, enumerate_elements, identity, neg, scalar_mul
 from circfib.orderq import minimal_even_length, pi_words
 from circfib.typology import (
     T01,
@@ -45,6 +45,26 @@ def test_classify_total_and_unique():
     for ell in range(2, 6):
         for u in enumerate_elements(ell):
             assert classify(u) in (T01, T10, T11)
+
+
+def _classify_through_neg(u):
+    """``classify``'s oracle: the valuation sum through the public
+    ``valuation`` and ``neg``, each of which validates and encodes again."""
+    w = canonical(u)
+    ell = len(w) // 2
+    if w == identity(ell):
+        return T01
+    total = valuation(w) + valuation(neg(w))
+    (tag,) = [tag for tag, v in typology._target_valuations(ell).items() if v == total]
+    return tag
+
+
+@pytest.mark.parametrize("ell", range(1, 8))
+def test_classify_matches_the_valuation_and_neg_route(ell):
+    elements = enumerate_elements(ell)
+    assert [classify(u) for u in elements] == [_classify_through_neg(u) for u in elements]
+    ident = (1, 0) * ell  # the identity written as (10)^l
+    assert classify(ident) == _classify_through_neg(ident) == T01
 
 
 def test_structural_class_examples():
