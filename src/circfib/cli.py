@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="equivalence orbit of a word, one member per line")
     p.add_argument("word")
-    p.add_argument("--cap", type=int, default=10**6, help="state-count cap")
+    p.add_argument("--cap", type=int, default=None, help="state-count cap")
     p.add_argument("--digit-cap", type=int, default=None)
 
     p = sub.add_parser("add", help="group sum of two equal-length words")
@@ -158,8 +158,8 @@ def _cached_records(args, limit: dict, name: str, compute):
 
 
 def dispatch(args) -> tuple[list[Record], int]:
-    # --max-ell only when given, so each library function keeps its own
-    # default; an explicit 0 is a bound too, and is refused downstream
+    # --max-ell (and orbit's --cap) only when given, so each library function
+    # keeps its own default; an explicit 0 is a bound too, and is refused downstream
     limit = {} if args.max_ell is None else {"max_ell": args.max_ell}
 
     if args.command == "reduce":
@@ -167,9 +167,10 @@ def dispatch(args) -> tuple[list[Record], int]:
         return [{"word": w, "normal_form": normalize(w)}], 0
 
     if args.command == "orbit":
-        result = orbit(parse_word(args.word), args.digit_cap, args.cap)
-        if result.truncated:
-            print(f"warning: orbit truncated at {args.cap} states", file=sys.stderr)
+        cap = {} if args.cap is None else {"size_cap": args.cap}
+        result = orbit(parse_word(args.word), args.digit_cap, **cap)
+        if result.truncated:  # orbit stops with exactly size_cap states
+            print(f"warning: orbit truncated at {len(result.words)} states", file=sys.stderr)
         return [{"member": m} for m in sorted(result.words)], 0
 
     if args.command == "add":

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import eq
 
 from .errors import CapacityError, InvalidWordError, ResourceBoundError
 
@@ -148,15 +146,6 @@ def rotate(word) -> Word:
     return (w[-1],) + w[:-1]
 
 
-def alternating_word(n: int, first: int = 0) -> Word:
-    """The word first, 1-first, first, ... of length n."""
-    if n < 1:
-        raise InvalidWordError(f"length must be >= 1, got {n}")
-    if first not in (0, 1):
-        raise InvalidWordError("first digit must be 0 or 1")
-    return (first, 1 - first) * (n // 2) + (first,) * (n % 2)
-
-
 def parse_word(text: str) -> Word:
     """Parse "010010" (single digits) or "1,0,12" (comma separated)."""
     text = text.strip()
@@ -213,11 +202,6 @@ def letter_counts(letters: str) -> tuple[int, int]:
 def check_balanced(letters: str, window: int) -> bool:
     """True iff all length-``window`` factors have a-counts within 1."""
     return _balanced_windows(letters, (window,))
-
-
-def _a_prefix(letters: str) -> list[int]:
-    """prefix[i] is the a-count of letters[:i], for i = 0..len(letters)."""
-    return list(accumulate(map(eq, letters, repeat("a")), initial=0))
 
 
 def _balanced_windows(letters: str, windows) -> bool:

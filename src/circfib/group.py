@@ -29,15 +29,7 @@ from .errors import (
     StructureMismatchError,
     ZeroWordError,
 )
-from .fibcore import (
-    Word,
-    alternating_word,
-    _is_admissible,
-    as_word,
-    classical_fib,
-    fib,
-    iter_admissible,
-)
+from .fibcore import Word, _is_admissible, as_word, classical_fib, fib, iter_admissible
 from .rewrite import _normalize_word, decode_pair, phi_pair, span_order
 
 DEFAULT_ENUM_BOUND = 10
@@ -50,14 +42,15 @@ GCD_CHECK_BOUND = 200
 
 
 def identity(ell: int) -> Word:
-    """The identity element (01)^l."""
+    """The identity element (01)^l, the one place the package builds it;
+    ``rotate`` of it is the other representative (10)^l."""
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    return alternating_word(2 * ell, first=0)
+    return (0, 1) * ell
 
 
 def canonical(word) -> Word:
-    """Validate an admissible nonzero word and canonicalize the identity."""
+    """Validate an admissible nonzero word and map (10)^l to ``identity(l)``."""
     w = as_word(word)
     if len(w) % 2 != 0:
         raise InvalidWordError(f"group elements have even length, got {len(w)}")
@@ -66,7 +59,7 @@ def canonical(word) -> Word:
     if not _is_admissible(w):
         raise InvalidWordError(f"not an admissible circular word: {w}")
     half = len(w) // 2
-    return (0, 1) * half if w == (1, 0) * half else w
+    return identity(half) if w == (1, 0) * half else w
 
 
 def add(u, v) -> Word:
@@ -233,12 +226,8 @@ class GcdPropertyReport(NamedTuple):
     even_index_checks: tuple[GcdCheck, ...]
 
     @property
-    def failures(self) -> list[GcdCheck]:
-        return [c for c in self.pair_checks + self.even_index_checks if not c.ok]
-
-    @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(c.ok for c in self.pair_checks + self.even_index_checks)
 
 
 def gcd_property_report(max_ell: int) -> GcdPropertyReport:

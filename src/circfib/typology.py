@@ -24,12 +24,12 @@ offset instead of asserting equality.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InvalidWordError, PartitionError
 from .fibcore import (
     Word,
-    _a_prefix,
     fib,
     fibonacci_word_prefix,
     letter_counts,
@@ -117,9 +117,10 @@ class ImageSetComparison(NamedTuple):
 
 
 def _prefix_counts(upto: int) -> list[tuple[int, int]]:
-    """(a-count, b-count) of each prefix M_k of the infinite word, k < upto."""
-    prefix = _a_prefix(fibonacci_word_prefix(upto))
-    return [(a, k - a) for k, a in enumerate(prefix[:upto])]
+    """(a-count, b-count) of each prefix M_k of the infinite word, k < upto,
+    from one running a-count over one prefix of the word."""
+    a_counts = accumulate(map("a".__eq__, fibonacci_word_prefix(upto)), initial=0)
+    return [(a, k - a) for k, a in zip(range(upto), a_counts)]
 
 
 def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, frozenset[Word]]:
@@ -139,18 +140,19 @@ def image_sets(classes: dict[str, frozenset[Word]]) -> dict[str, ImageSetCompari
     """Valuation image of each class of ``type_classes`` next to its closed-form set.
 
     Formula sets range over prefixes M_k of the infinite word: k < F(2l-2)
-    for T10 and T01, k < F(2l-5) - 1 for T11.  A shift that maps one
-    finite set onto another maps its minimum to the other's minimum, so
-    the only candidate offset is the difference of the minima.
+    for T10 and T01, k < F(2l-5) - 1 for T11, a shorter range, so one
+    prefix's counts serve all three.  F(2l-5) is read as F(2l-3) - F(2l-4),
+    which ``fib`` defines down to l = 1 (an empty T11 range).  A shift that
+    maps one finite set onto another maps its minimum to the other's
+    minimum, so the only candidate offset is the difference of the minima.
     """
     ell = len(next(iter(classes[T01]))) // 2  # T01 always holds (01)^l
-    main_range = fib(2 * ell - 2)
-    t11_range = max(0, fib(2 * ell - 5) - 1) if 2 * ell - 5 >= -2 else 0
-    main_counts = _prefix_counts(main_range)
+    main_counts = _prefix_counts(fib(2 * ell - 2))
+    t11_range = fib(2 * ell - 3) - fib(2 * ell - 4) - 1
     formula = {
         T10: {1 + 2 * a + b for a, b in main_counts},
         T01: {1 + 3 * a + 2 * b for a, b in main_counts},
-        T11: {fib(2 * ell - 1) + 3 + 5 * a + 3 * b for a, b in _prefix_counts(t11_range)},
+        T11: {fib(2 * ell - 1) + 3 + 5 * a + 3 * b for a, b in main_counts[:t11_range]},
     }
 
     out = {}

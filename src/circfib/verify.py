@@ -18,7 +18,6 @@ from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, ResourceBoundError, StructureMismatchError
 from .fibcore import (
     _balanced_windows,
-    alternating_word,
     fibonacci_word_prefix,
     is_admissible,
     iter_admissible,
@@ -125,14 +124,15 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     """
     components = identity_components = 0
     ok = True
-    id0, id1 = alternating_word(n, 0), alternating_word(n, 1)
+    ident = group.identity(n // 2)
+    identity_pair = {ident, rotate(ident)}
     words = set(iter_admissible(n))
     for members in move_classes(n):
         components += 1
         admissible = words.intersection(members)
-        if admissible == {id0, id1}:
+        if admissible == identity_pair:
             identity_components += 1
-            target = id0
+            target = ident
         elif len(admissible) == 1:
             (target,) = admissible
         else:

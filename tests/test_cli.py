@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from circfib import cache, verify, wheels
+from circfib import cache, cli, verify, wheels
 from circfib.cli import dispatch, main, render
 from circfib.errors import CircfibError
+from circfib.rewrite import OrbitResult
 
 
 def parse_records(text, fmt):
@@ -428,6 +429,20 @@ def test_verify_passes_only_the_bounds_given(capsys, monkeypatch, argv, bounds):
     monkeypatch.setattr(verify, "run_verify", record)
     assert run_cli(capsys, *argv, "verify")[0] == 0
     assert calls == [((), bounds)]
+
+
+@pytest.mark.parametrize("argv, caps", [([], {}), (["--cap", "5"], {"size_cap": 5})])
+def test_orbit_passes_only_the_cap_given(capsys, monkeypatch, argv, caps):
+    # without --cap, rewrite.orbit's own default holds
+    calls = []
+
+    def record(word, digit_cap, **kwargs):
+        calls.append(kwargs)
+        return OrbitResult(frozenset({word}), False)
+
+    monkeypatch.setattr(cli, "orbit", record)
+    assert run_cli(capsys, "orbit", "0101", *argv) == (0, "member\n0101\n", "")
+    assert calls == [caps]
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from circfib import fibcore
 from circfib.errors import CapacityError, InvalidWordError, ResourceBoundError
 from circfib.fibcore import (
-    alternating_word,
     as_word,
     check_balanced,
     classical_fib,
@@ -108,34 +107,14 @@ def test_pair_codec_matches_fibonacci_oracles(digits, form):
     "call, message",
     [
         (lambda: zeckendorf(0, 0), "length must be >= 1, got 0"),
-        (lambda: alternating_word(0), "length must be >= 1, got 0"),
-        (lambda: alternating_word(4, first=2), "first digit must be 0 or 1"),
         (lambda: fibonacci_word_prefix(-1), "prefix length must be nonnegative, got -1"),
     ],
-    ids=["zeckendorf-length-0", "alternating-length-0", "alternating-first-2", "prefix--1"],
+    ids=["zeckendorf-length-0", "prefix--1"],
 )
 def test_codec_input_checks(call, message):
     with pytest.raises(InvalidWordError) as exc:
         call()
     assert str(exc.value) == message
-
-
-def _generator_alternating_word(n, first=0):
-    # the per-index generator form that tuple repetition replaced
-    if n < 1:
-        raise InvalidWordError(f"length must be >= 1, got {n}")
-    if first not in (0, 1):
-        raise InvalidWordError("first digit must be 0 or 1")
-    return tuple((i + first) % 2 for i in range(n))
-
-
-@pytest.mark.parametrize("first", [0, 1, 2, -1])
-def test_alternating_word_matches_generator_form(first):
-    for n in range(-1, 41):
-        outcome = _outcome(lambda k: alternating_word(k, first), n)
-        assert outcome == _outcome(lambda k: _generator_alternating_word(k, first), n)
-        if outcome[0] == "ok":
-            assert all(type(d) is int for d in outcome[1])
 
 
 def test_zeckendorf_examples():

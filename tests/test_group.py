@@ -9,8 +9,18 @@ from circfib.errors import (
     StructureMismatchError,
     ZeroWordError,
 )
-from circfib.fibcore import fib, format_word, is_admissible, iter_admissible, parse_word, zeckendorf
+from circfib.fibcore import (
+    fib,
+    format_word,
+    is_admissible,
+    iter_admissible,
+    parse_word,
+    rotate,
+    zeckendorf,
+)
 from circfib.group import (
+    GcdCheck,
+    GcdPropertyReport,
     GroupStructure,
     add,
     canonical,
@@ -37,6 +47,16 @@ def test_identity():
     assert format_word(identity(3)) == "010101"
     with pytest.raises(InvalidWordError):
         identity(0)
+
+
+def test_identity_representatives_match_the_generator_form():
+    # the per-index form (i + first) % 2 of the alternating words
+    for ell in range(1, 41):
+        zero_first = tuple(i % 2 for i in range(2 * ell))
+        one_first = tuple((i + 1) % 2 for i in range(2 * ell))
+        assert identity(ell) == zero_first
+        assert rotate(identity(ell)) == one_first
+        assert canonical(one_first) == zero_first
 
 
 def test_canonical():
@@ -361,6 +381,14 @@ def test_gcd_property_report():
     assert gcd_property_report(200).ok
     with pytest.raises(ResourceBoundError, match="^max_ell=201 exceeds gcd-check bound 200$"):
         gcd_property_report(201)
+
+
+def test_gcd_property_report_ok_reads_both_check_lists():
+    good, bad = GcdCheck(2, 3, 1, 1), GcdCheck(4, 6, 1, 3)
+    assert GcdPropertyReport((good, good), (good,)).ok
+    assert GcdPropertyReport((), ()).ok
+    assert not GcdPropertyReport((good, bad), (good,)).ok
+    assert not GcdPropertyReport((good,), (bad, good)).ok
 
 
 # Type and message of each public operation on each malformed input, pinned

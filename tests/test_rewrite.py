@@ -214,6 +214,16 @@ def test_uniqueness_scan_n6():
     assert uniqueness_scan(2) == (1, 1, True)
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(1, "ell must be >= 1, got 0"), (3, "normalization requires even length, got 3")],
+)
+def test_uniqueness_scan_refuses_an_odd_length(n, message):
+    # the identity pair has no length 1, and normalize refuses the other odd lengths
+    with pytest.raises(InvalidWordError, match=f"^{message}$"):
+        uniqueness_scan(n)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_move_classes_match_orbit_oracle(n):
     classes = move_classes(n)

@@ -136,12 +136,27 @@ def test_image_sets_without_an_offset():
     assert not sigma_relation_check(classes)
 
 
+def _direct_counts(upto):
+    word = fibonacci_word_prefix(upto)
+    return [(word[:k].count("a"), word[:k].count("b")) for k in range(upto)]
+
+
 def test_prefix_counts_match_a_direct_count():
     # counts[k] holds the letter counts of the first k letters, k < upto
     for upto in range(301):
-        word = fibonacci_word_prefix(upto)
-        expected = [(word[:k].count("a"), word[:k].count("b")) for k in range(upto)]
-        assert typology._prefix_counts(upto) == expected, upto
+        assert typology._prefix_counts(upto) == _direct_counts(upto), upto
+
+
+def test_image_set_formulas_match_direct_prefix_counts():
+    # T10 and T01 range over k < F(2l-2), T11 over k < F(2l-5) - 1, each
+    # counted on its own prefix
+    for ell in range(1, 10):
+        sets = image_sets(type_classes(ell))
+        main = _direct_counts(fib(2 * ell - 2))
+        t11 = _direct_counts(fib(2 * ell - 5) - 1 if ell > 1 else 0)
+        assert sets[T10].formula == {1 + 2 * a + b for a, b in main}, ell
+        assert sets[T01].formula == {1 + 3 * a + 2 * b for a, b in main}, ell
+        assert sets[T11].formula == {fib(2 * ell - 1) + 3 + 5 * a + 3 * b for a, b in t11}, ell
 
 
 def test_sigma_relation():
