@@ -29,8 +29,8 @@ from .errors import (
     StructureMismatchError,
     ZeroWordError,
 )
-from .fibcore import Word, _is_admissible, as_word, classical_fib, fib, iter_admissible
-from .rewrite import _normalize_word, decode_pair, phi_pair, span_order
+from .fibcore import Word, _is_admissible, as_word, classical_fib, fib, iter_admissible, phi_pair
+from .rewrite import _normalize_word, decode_pair, span_order
 
 DEFAULT_ENUM_BOUND = 10
 # A listing at ell holds about phi^(2l) entries, 2.6 times more per step:

@@ -27,9 +27,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError
-from .fibcore import Word, as_word, fib, is_admissible, rotate, zeckendorf
+from .fibcore import Word, as_word, fib, is_admissible, phi_pair, rotate, zeckendorf
 from .group import add, canonical
-from .rewrite import _modulus_pair, _pair_mul, decode_pair, phi_pair, span_order
+from .rewrite import _modulus_pair, _pair_mul, decode_pair, span_order
 
 DEFAULT_P_GROUP_BOUND = 12
 _SCAN_LIMIT = 10**6
@@ -81,22 +81,23 @@ def primitive_period(u) -> Word:
 def p_group(q: int, max_ell: int = DEFAULT_P_GROUP_BOUND) -> list[PeriodicElement]:
     """All elements of the canonical-length group whose order divides q.
 
-    Built from the lattice (see ``_p_group_cached``); ``max_ell`` bounds
-    the canonical length at 2*max_ell, as for enumeration.
+    Built from the lattice (``_p_group_cached``) at the canonical length,
+    found once here; ``max_ell`` bounds it at 2*max_ell, as for enumeration.
     """
     n = minimal_even_length(q)
     if n > 2 * max_ell:
         raise ResourceBoundError(
             f"canonical length {n} for q={q} exceeds enumeration bound 2*{max_ell}"
         )
-    return list(_p_group_cached(q))
+    return list(_p_group_cached(q, n))
 
 
 # No cache (maxsize=0): a process asks for one q once.  An lru_cache only
 # because perfbench's tracer reads its cache_info() counters.
 @lru_cache(maxsize=0)
-def _p_group_cached(q: int) -> tuple[PeriodicElement, ...]:
-    """Elements of order dividing q, in lexicographic word order.
+def _p_group_cached(q: int, n: int) -> tuple[PeriodicElement, ...]:
+    """Elements of order dividing q at its canonical length n (which
+    ``p_group`` has found and bounded), in lexicographic word order.
 
     Decodes the residues (a*nu + b*nu*phi) / q for 0 <= a, b < q.  They are
     integral because F(n) and F(n-1) are 1 mod q at the canonical length,
@@ -106,7 +107,6 @@ def _p_group_cached(q: int) -> tuple[PeriodicElement, ...]:
     suite compares the result with the full enumeration filtered by order
     and with a filter built from iterated word-level ``add``.
     """
-    n = minimal_even_length(q)
     nu_x, nu_y = _modulus_pair(n)
     assert nu_x % q == 0 and nu_y % q == 0
     step = (nu_x // q, nu_y // q)

@@ -65,7 +65,7 @@ sum, then ``normalize``) is their oracle in the tests.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -98,26 +98,18 @@ class Move(_Move):
 
 
 def _consume_produce(move: Move, n: int) -> tuple[tuple, tuple]:
-    # A move consumes units from some slots and produces units at others;
-    # all consumed amounts must be in stock simultaneously.  At lengths
-    # where window positions collide mod n the amounts accumulate, which
+    # A move eats units at some slots, all in stock at once, and makes units
+    # at others, as (slot, amount) pairs.  Counter adds the amounts of a slot
+    # listed twice, where window positions collide mod n (n <= 3), which
     # keeps forward and backward moves exact inverses of each other.
     k = move.position % n
     if move.rule == "A":
-        eats = (((k - 1) % n, 1), (k, 1))
-        makes = (((k + 1) % n, 1),)
+        eats, makes = ((k - 1) % n, k), ((k + 1) % n,)
     else:
-        eats = ((k, 2),)
-        makes = (((k - 2) % n, 1), ((k + 1) % n, 1))
+        eats, makes = (k, k), ((k - 2) % n, (k + 1) % n)
     if not move.forward:
         eats, makes = makes, eats
-    consume: dict[int, int] = {}
-    produce: dict[int, int] = {}
-    for i, v in eats:
-        consume[i] = consume.get(i, 0) + v
-    for i, v in makes:
-        produce[i] = produce.get(i, 0) + v
-    return tuple(consume.items()), tuple(produce.items())
+    return tuple(Counter(eats).items()), tuple(Counter(makes).items())
 
 
 def _apply(w: Word, consume, produce) -> Word | None:
@@ -322,8 +314,7 @@ def _length_table(n: int) -> tuple:
     # Lucas numbers, is below 0 for every n >= 1: it is -1 at n = 1, and
     # L(n) >= 3 from n = 2 on.  So the denominator is its negation.
     norm = q * q - p * q - p * p
-    # (c1 + c2*phi) * (p + q*phi) = (c1*p + c2*q) + (c1*q + c2*(p + q))*phi
-    shifts = tuple((c1 * p + c2 * q, c1 * q + c2 * (p + q)) for c1, c2 in _OFFSETS)
+    shifts = tuple(_pair_mul(c, (p, q)) for c in _OFFSETS)
     memo = {} if n % 2 == 0 and n <= _MEMO_CEILING else None
     return p, q, norm, top - 1, shifts, _descending_fibs(n), memo
 
@@ -360,10 +351,9 @@ def _quotient(x: int, y: int, n: int) -> tuple[int, int, int]:
 
 
 def _iround(p: int, q: int) -> int:
-    # round(p / q) for q > 0, half away from zero
-    if p >= 0:
-        return (2 * p + q) // (2 * q)
-    return -((-2 * p + q) // (2 * q))
+    # round(p / q) for q > 0, halves up: off by at most 1/2, which is all
+    # the window proof below needs
+    return (2 * p + q) // (2 * q)
 
 
 # Offsets (c1, c2) tried around the rounded quotient, nearest first.  At

@@ -22,6 +22,7 @@ once.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -92,7 +93,7 @@ def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTre
                 )
             )
             return
-        if idx == len(edges) or len(chosen) + (len(edges) - idx) < need:
+        if len(chosen) + (len(edges) - idx) < need:
             return
         kind, i, a, b = edges[idx]
         ra, rb = find(a), find(b)
@@ -110,11 +111,10 @@ def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTre
 
 def count_trees_matrix(ell: int) -> int:
     """Spanning-tree count via the integer determinant of the reduced Laplacian."""
-    if ell < 1:
-        raise InvalidWordError(f"ell must be >= 1, got {ell}")
+    edges = wheel_edges(ell)  # refuses ell < 1
     size = ell + 1
     lap = [[0] * size for _ in range(size)]
-    for _, _, a, b in wheel_edges(ell):
+    for _, _, a, b in edges:
         lap[a][a] += 1
         lap[b][b] += 1
         lap[a][b] -= 1
@@ -248,8 +248,5 @@ def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> Identi
     """
     check_ceiling(ell, FIBER_SCAN_CEILING, "fiber scan", max_ell)
     tree_words = _tree_words(ell)
-    fiber: dict[Word, int] = {}
-    for w in tree_words:
-        element = normalize(w)
-        fiber[element] = fiber.get(element, 0) + 1
+    fiber = Counter(map(normalize, tree_words))
     return IdentityFiberReport(ell, tree_words, decompose(ell, max_ell).order, fiber)

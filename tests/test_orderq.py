@@ -167,6 +167,20 @@ def test_p_group_resource_bound():
         p_group(5, max_ell=9)
 
 
+def test_p_group_scans_for_the_canonical_length_once(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return minimal_even_length(q)
+
+    monkeypatch.setattr(orderq, "minimal_even_length", counting)
+    for q in (2, 3, 5):
+        calls.clear()
+        p_group(q)
+        assert calls == [q]
+
+
 def test_oplus_examples():
     assert format_word(oplus(parse_word("010010"), parse_word("01"))) == "010010"
     assert format_word(oplus(parse_word("0001"), parse_word("0001"))) == "0010"

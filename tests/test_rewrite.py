@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from circfib import fibcore, rewrite
+from circfib import fibcore, rewrite, verify
 from circfib.errors import (
     InapplicableMoveError,
     InvalidWordError,
@@ -71,6 +72,38 @@ def test_backward_moves_invert_forward():
         out = apply_move(w, move)
         back = Move(move.rule, move.position, not move.forward)
         assert apply_move(out, back) == w, move
+
+
+def _consume_produce_by_hand(move, n):
+    """The move table before Counter: each (slot, amount) pair added into
+    a dict by hand, so slots that collide mod n accumulate."""
+    k = move.position % n
+    if move.rule == "A":
+        eats, makes = (((k - 1) % n, 1), (k, 1)), (((k + 1) % n, 1),)
+    else:
+        eats, makes = ((k, 2),), (((k - 2) % n, 1), ((k + 1) % n, 1))
+    if not move.forward:
+        eats, makes = makes, eats
+    consume, produce = {}, {}
+    for i, v in eats:
+        consume[i] = consume.get(i, 0) + v
+    for i, v in makes:
+        produce[i] = produce.get(i, 0) + v
+    return tuple(consume.items()), tuple(produce.items())
+
+
+def test_consume_produce_matches_the_accumulating_table():
+    # both rules, both directions, positions past both ends, and the
+    # lengths n <= 3 where the slots of one move collide mod n
+    for n in range(1, 13):
+        for k in range(-3, n + 3):
+            for rule in ("A", "B"):
+                for forward in (True, False):
+                    move = Move(rule, k, forward)
+                    got = rewrite._consume_produce(move, n)
+                    assert got == _consume_produce_by_hand(move, n), (n, move)
+    assert rewrite._consume_produce(Move("A", 0), 1) == (((0, 2),), ((0, 1),))
+    assert rewrite._consume_produce(Move("B", 1, False), 3) == (((2, 2),), ((1, 2),))
 
 
 def test_length_preserved():
@@ -219,8 +252,18 @@ def test_uniqueness_scan_n6():
     [(1, "ell must be >= 1, got 0"), (3, "normalization requires even length, got 3")],
 )
 def test_uniqueness_scan_refuses_an_odd_length(n, message):
-    # the identity pair has no length 1, and normalize refuses the other odd lengths
+    # the identity pair has no length 1; other odd lengths get normalize's message
     with pytest.raises(InvalidWordError, match=f"^{message}$"):
+        uniqueness_scan(n)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_uniqueness_scan_refuses_an_odd_length_before_the_search(monkeypatch, n):
+    def no_search(length):
+        raise AssertionError("move_classes ran before the length check")
+
+    monkeypatch.setattr(verify, "move_classes", no_search)
+    with pytest.raises(InvalidWordError, match=f"^normalization requires even length, got {n}$"):
         uniqueness_scan(n)
 
 
@@ -473,6 +516,50 @@ def test_decode_pair_matches_decoder_before_records(case):
         fibcore._descending_fibs.cache_clear()
     got = _outcome(rewrite.decode_pair, x, y, n)
     assert got == _outcome(decode_pair_before_records, x, y, n)
+
+
+def _round_half_away_from_zero(p, q):
+    """The rounding before halves went up: round(p / q) for q > 0, with
+    halves away from zero."""
+    if p >= 0:
+        return (2 * p + q) // (2 * q)
+    return -((-2 * p + q) // (2 * q))
+
+
+@settings(max_examples=300)
+@given(st.integers(), st.integers(min_value=1))
+@example(-3, 2)
+@example(3, 2)
+@example(-(10**40) - 1, 2 * 10**40 + 2)
+def test_iround_is_within_a_half(p, q):
+    assert abs(Fraction(p, q) - rewrite._iround(p, q)) <= Fraction(1, 2)
+
+
+def _negative_exact_halves(n, span=60):
+    """The pairs in [-span, span]^2 with a quotient numerator that is a
+    negative exact half, the only place where the rounding rules differ."""
+    out = []
+    for x in range(-span, span + 1):
+        for y in range(-span, span + 1):
+            num1, num2, norm = rewrite._quotient(x, y, n)
+            if any(num < 0 and 2 * (num % norm) == norm for num in (num1, num2)):
+                out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("n, named", [(6, (-60, -58)), (12, (-60, -60)), (18, (-60, 6))])
+def test_negative_exact_halves_decode_as_with_rounding_away_from_zero(monkeypatch, n, named):
+    # each nonzero residue has one admissible answer, and a zero residue an
+    # exact quotient, so where rounding halves up moves the search centre
+    # the answer stays
+    pairs = _negative_exact_halves(n)
+    assert named in pairs
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_iround", _round_half_away_from_zero)
+        expected = [_outcome(decode_pair_before_records, x, y, n) for x, y in pairs]
+    no_memo = (*rewrite._length_table(n)[:6], None)
+    assert [_outcome(rewrite.decode_pair, x, y, n) for x, y in pairs] == expected
+    assert [rewrite._decode(x, y, n, no_memo) for x, y in pairs] == expected
 
 
 def test_length_record_shares_the_descending_pairs():
