@@ -59,13 +59,17 @@ def as_word(digits) -> Word:
 
     Digits 0..255 are checked and converted in C by ``bytes``; any other
     digit (above 255, negative, a str or a float) takes the per-digit
-    ``int`` path, with the same result and the same errors.
+    ``int`` path, with the same result and the same errors.  A number that
+    ``int`` would truncate, such as 1.5 or Fraction(3, 2), is refused.
     """
     w = tuple(digits)
     try:
         w = tuple(bytes(w))
     except (TypeError, ValueError):
-        w = tuple(map(int, w))
+        digits, w = w, tuple(map(int, w))
+        # int() parses text, and a number is a digit only when it equals its int()
+        if any(i != d and not isinstance(d, (str, bytes, bytearray)) for d, i in zip(digits, w)):
+            raise InvalidWordError(f"word digits must be integers: {digits}") from None
         if min(w) < 0:
             raise InvalidWordError(f"word digits must be nonnegative: {w}") from None
     if not w:

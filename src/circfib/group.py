@@ -10,9 +10,11 @@ The group of parameter l decomposes as Z/d x Z/d for odd l and
 Z/5d x Z/d for even l, where d = F(l-2) for even l and d = F(l-1) + F(l-3)
 for odd l.  ``decompose`` reads the order and the invariant factors off the
 lattice of Z[phi]/(phi^n - 1) with ``rewrite.span_order``, which decodes
-nothing.  ``certify_factors`` is the one two-generator certificate, built
-from a list of elements; the verification suite runs it on the enumerated
-group (criterion 2) and on the order-q group (criterion 6).  Multiples come
+nothing.  ``verify.certify_factors`` is the one two-generator certificate,
+built from a list of elements; the verification suite runs it on the
+enumerated group (criterion 2) and on the order-q group (criterion 6), and
+holds the other code that only it runs, the invariant factors the
+d-formula predicts and the repetition morphism.  Multiples come
 from the residue in Z[phi] modulo (phi^n - 1), and orders of elements from
 ``span_order``; iterated ``add`` is their oracle in the tests.
 """
@@ -23,12 +25,7 @@ from math import gcd
 import operator
 from typing import NamedTuple
 
-from .errors import (
-    InvalidWordError,
-    ResourceBoundError,
-    StructureMismatchError,
-    ZeroWordError,
-)
+from .errors import InvalidWordError, ResourceBoundError, ZeroWordError
 from .fibcore import Word, _is_admissible, as_word, classical_fib, fib, iter_admissible, phi_pair
 from .rewrite import _normalize_word, decode_pair, span_order
 
@@ -125,13 +122,6 @@ def d_value(ell: int) -> int:
     return fib(ell - 1) + fib(ell - 3)
 
 
-def predicted_invariant_factors(ell: int) -> tuple[int, int]:
-    """The invariant factors (e1, e2), e2 | e1, that the d-formula predicts
-    for parameter l: (d, d) for odd l and (5d, d) for even l."""
-    d = d_value(ell)
-    return (5 * d, d) if ell % 2 == 0 else (d, d)
-
-
 class GroupStructure(NamedTuple):
     order: int
     invariant_factors: tuple[int, int]
@@ -149,38 +139,6 @@ def element_order(u) -> int:
     return span_order(len(w), phi_pair(w))
 
 
-def certify_factors(elements: list[Word]) -> tuple[int, int]:
-    """Invariant factors (e1, e2) of the group formed by the given elements,
-    certified by exhibiting two generators.
-
-    Finds g1 of maximal order e1 (the exponent) and, unless the group is
-    cyclic, g2 of order e2 = order/e1 with <g1> + <g2> of the full order.
-    That sum has e1 * e2 / |<g1> & <g2>| elements, so this is g2 meeting
-    <g1> only in the identity.  Order d^2 with exponent d does not by itself
-    force Z/d x Z/d, so the second generator is required; failure raises
-    StructureMismatchError.  Callers pass elements the engine built, so
-    each order is read off its pair with no second validation.
-    """
-    order = len(elements)
-    orders = {u: span_order(len(u), phi_pair(u)) for u in elements}
-    e1 = max(orders.values())
-    if order % e1 != 0:
-        raise StructureMismatchError(f"exponent {e1} does not divide order {order}")
-    e2 = order // e1
-    if e2 > 1:
-        g1 = next(u for u, k in orders.items() if k == e1)
-        n, pair1 = len(g1), phi_pair(g1)
-        if not any(
-            k == e2 and span_order(n, pair1, phi_pair(g2)) == order
-            for g2, k in orders.items()
-        ):
-            raise StructureMismatchError(
-                f"no second generator of order {e2} certifies rank 2 "
-                f"for {order} elements of length {len(g1)}"
-            )
-    return e1, e2
-
-
 def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
     """Order and invariant factors (e1, e2) of the group of parameter l,
     read off the lattice of ``rewrite.span_order`` with no enumeration.
@@ -195,19 +153,6 @@ def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
     check_enum_bound(ell, max_ell)
     order, e1 = span_order(2 * ell, (1, 0), (0, 1)), span_order(2 * ell, (1, 0))
     return GroupStructure(order, (e1, order // e1), d_value(ell))
-
-
-def repeat_morphism(u, n: int) -> Word:
-    """Concatenate the word with itself n times.
-
-    Cyclic admissibility is preserved by literal repetition, and the
-    canonical identity (01)^l repeats to (01)^(n*l), so the result needs
-    neither normalization nor a second check; the map is an injective
-    homomorphism into the group of parameter n*l.
-    """
-    if n < 1:
-        raise InvalidWordError(f"repetition count must be >= 1, got {n}")
-    return canonical(u) * n
 
 
 class GcdCheck(NamedTuple):

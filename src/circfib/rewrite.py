@@ -21,12 +21,8 @@ identified; (01)^l is the canonical representative.
 
 ``orbit`` explores the class of one word by breadth-first search over
 both directions; it serves ``circfib orbit`` and is the reference oracle in
-the tests.  ``move_classes`` partitions all {0,1,2}-words of a length at
-once: each search grows a set of base-4 codes, held as an int bitset, in
-place by sweeps of the rule A moves both ways at digit cap 3 until a sweep
-adds nothing (at that cap a rule B move is a composition of two rule A
-moves, so the classes are the same), with one search per rotation orbit of
-classes and each rotation of a searched class recorded once.
+the tests.
+
 ``normalize`` is the production normalizer and has one route: validate the
 word, map it to its pair in Z[phi] (``fibcore.phi_pair``), and let
 ``decode_pair`` reconstruct the admissible representative of that pair's
@@ -49,9 +45,9 @@ ceiling, and decodes with the record it has read (``_decode``, which
 ``decode_pair`` wraps), so one normalize reads ``_length_table`` once.  The
 routes are independent;
 ``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
-``move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and the
-tests check ``move_classes`` against ``orbit`` and against a union-find
-over the same moves.
+``verify.move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and
+the tests check ``verify.move_classes`` against ``orbit`` and against a
+union-find over the same moves.
 
 The residue is also the group element itself, so arithmetic that needs no
 intermediate word stays on pairs: ``group.scalar_mul`` (and ``group.neg``,
@@ -64,11 +60,9 @@ sum, then ``normalize``) is their oracle in the tests.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
-from operator import or_
 from typing import NamedTuple
 
 from .errors import (
@@ -182,102 +176,6 @@ def orbit(word, digit_cap: int | None = None, size_cap: int = 10**6) -> OrbitRes
                 seen.add(nxt)
                 queue.append(nxt)
     return OrbitResult(frozenset(seen), truncated)
-
-
-def move_classes(n: int) -> list[list[Word]]:
-    """The nonzero length-n words with digits at most 2, grouped by move class.
-
-    Two words share a class when moves connect them through words with
-    digits at most 3, the digit cap at which ``orbit`` explores the same
-    classes.  Words are coded in base 4 with the first digit most
-    significant, so code order is lexicographic order, and a set of codes
-    is an int with bit c set for each code c in it.  Each search grows the
-    set of one seed in place, by rounds of steps on the whole set: the
-    forward rule A moves at positions 0..n-1, then their inverses at n-1..0.
-    The search stops after a round that adds nothing, when the set is
-    closed under every step, so it is the seed's class: each step only adds
-    codes reachable by a move.  A backward move is the inverse of a forward
-    one, and a rule B move within the cap is two rule A moves within the cap
-    (see below), so these steps alone give the same connectivity.  Classes
-    come in the lexicographic order of their first members, and members in
-    lexicographic order.
-    """
-    cap = 3
-    base = cap + 1
-    places = [base ** (n - 1 - i) for i in range(n)]
-
-    def box(ranges) -> int:
-        # the set of codes whose digit at each slot lies in that slot's
-        # range, built from the last slot (place 1) up so the set grows
-        codes = 1
-        for place, digits in reversed(list(zip(places, ranges))):
-            codes = reduce(or_, [codes << d * place for d in digits])
-        return codes
-
-    # Rule B is not needed.  For n >= 4, where k-2, k-1, k and k+1 are
-    # distinct, forward B at k (w[k] -= 2, w[k-2] += 1, w[k+1] += 1) equals
-    # backward A at k-1 (w[k] -= 1, w[k-2] += 1, w[k-1] += 1) then forward
-    # A at k (w[k-1] -= 1, w[k] -= 1, w[k+1] += 1), or the same two moves
-    # in the other order.  The middle word differs from the start and end
-    # words at k-1 only, by +1 in the first order and -1 in the second, so
-    # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
-    # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
-    # with the ``orbit`` oracle instead.
-    forward, backward = [], []  # (codes the step applies to, code shift)
-    for k in range(n):
-        eats, makes = map(dict, _consume_produce(Move("A", k), n))
-        # A slot keeps at least what it loses and, after the move, at most
-        # the cap; a slot that both loses and gains (short lengths) is
-        # bounded by both.
-        lose_gain = [(eats.get(i, 0), makes.get(i, 0)) for i in range(n)]
-        mask = box(range(lose, min(base, base + lose - gain)) for lose, gain in lose_gain)
-        delta = sum((gain - lose) * place for (lose, gain), place in zip(lose_gain, places))
-        forward.append((mask, delta))
-        backward.append((_shift(mask, delta), -delta))
-    steps = forward + backward[::-1]
-    small = box([range(cap)] * n)
-    codes = _bits(small)
-    # Rotating a class gives a class: the moves at k+1 are those at k with
-    # the word rotated, and the cap holds digit by digit.  So one search
-    # serves a whole rotation orbit of classes, and the class rotated j
-    # slots is new exactly when the seed rotated j slots is not yet placed.
-    classes, done = [], set()
-    for seed in codes[1:]:  # codes[0] is the zero word
-        if seed in done:
-            continue
-        seen = 1 << seed
-        grown = True
-        while grown:
-            before = seen
-            for mask, delta in steps:
-                seen |= _shift(seen & mask, delta)
-            grown = seen != before
-        members = _bits(seen & small)
-        for j in range(n):
-            # rotating j slots, w -> w[j:] + w[:j], moves the first j digits last
-            cut, lift = base ** (n - j), base ** j
-            if seed % cut * lift + seed // cut not in done:
-                rotated = sorted(c % cut * lift + c // cut for c in members)
-                done.update(rotated)
-                classes.append(rotated)
-    word_of = dict(zip(codes, itertools.product(range(cap), repeat=n)))
-    return [[word_of[c] for c in members] for members in sorted(classes)]
-
-
-def _shift(codes: int, delta: int) -> int:
-    """The set of codes each moved by delta."""
-    return codes << delta if delta >= 0 else codes >> -delta
-
-
-def _bits(codes: int) -> list[int]:
-    """The codes in a set, in increasing order."""
-    text = bin(codes)[:1:-1]  # text[c] is bit c
-    out = []
-    c = text.find("1")
-    while c >= 0:
-        out.append(c)
-        c = text.find("1", c + 1)
-    return out
 
 
 # --- class invariant in Z[phi] -------------------------------------------

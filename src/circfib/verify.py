@@ -6,24 +6,40 @@ deviation between a computed set and its stated closed form (with both
 values in the detail); discrepancies are always printed but do not fail a
 run.  ``run_verify`` drives all suites at the requested bounds; its exit
 status is nonzero iff some claim failed.
+
+The code that only the suites run lives here, so that importing the engine
+compiles none of it: ``move_classes``, the partition by move class that
+criterion 3 checks the normalizer against; ``certify_factors``, the
+two-generator certificate of criteria 2 and 6; the invariant factors that
+the d-formula predicts; and criterion 7's repetition morphism.
+``move_classes`` partitions all {0,1,2}-words of a length at once: each
+search grows a set of base-4 codes, held as an int bitset, in place by
+sweeps of the rule A moves both ways at digit cap 3 until a sweep adds
+nothing (at that cap a rule B move is a composition of two rule A moves, so
+the classes are the same), with one search per rotation orbit of classes
+and each rotation of a searched class recorded once.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import NamedTuple
 
 from . import baseb, group, orderq, typology, wheels
 from .errors import CircfibError, InvalidWordError, ResourceBoundError, StructureMismatchError
 from .fibcore import (
+    Word,
     _balanced_windows,
     fibonacci_word_prefix,
     is_admissible,
     iter_admissible,
+    phi_pair,
     rotate,
 )
-from .rewrite import move_classes, normalize
+from .rewrite import Move, _consume_produce, normalize, span_order
 
 PASS = "pass"
 FAIL = "fail"
@@ -98,13 +114,52 @@ def criterion_cardinalities(max_ell: int) -> list[Claim]:
     return claims
 
 
+def predicted_invariant_factors(ell: int) -> tuple[int, int]:
+    """The invariant factors (e1, e2), e2 | e1, that the d-formula predicts
+    for parameter l: (d, d) for odd l and (5d, d) for even l."""
+    d = group.d_value(ell)
+    return (5 * d, d) if ell % 2 == 0 else (d, d)
+
+
+def certify_factors(elements: list[Word]) -> tuple[int, int]:
+    """Invariant factors (e1, e2) of the group formed by the given elements,
+    certified by exhibiting two generators.
+
+    Finds g1 of maximal order e1 (the exponent) and, unless the group is
+    cyclic, g2 of order e2 = order/e1 with <g1> + <g2> of the full order.
+    That sum has e1 * e2 / |<g1> & <g2>| elements, so this is g2 meeting
+    <g1> only in the identity.  Order d^2 with exponent d does not by itself
+    force Z/d x Z/d, so the second generator is required; failure raises
+    StructureMismatchError.  Callers pass elements the engine built, so
+    each order is read off its pair with no second validation.
+    """
+    order = len(elements)
+    orders = {u: span_order(len(u), phi_pair(u)) for u in elements}
+    e1 = max(orders.values())
+    if order % e1 != 0:
+        raise StructureMismatchError(f"exponent {e1} does not divide order {order}")
+    e2 = order // e1
+    if e2 > 1:
+        g1 = next(u for u, k in orders.items() if k == e1)
+        n, pair1 = len(g1), phi_pair(g1)
+        if not any(
+            k == e2 and span_order(n, pair1, phi_pair(g2)) == order
+            for g2, k in orders.items()
+        ):
+            raise StructureMismatchError(
+                f"no second generator of order {e2} certifies rank 2 "
+                f"for {order} elements of length {len(g1)}"
+            )
+    return e1, e2
+
+
 def criterion_structure(max_ell: int) -> list[Claim]:
     """Two-generator certificates of the enumerated groups match the d-formula."""
     claims = []
     for ell in _depth("2", "structure", max_ell):
-        predicted = group.predicted_invariant_factors(ell)
+        predicted = predicted_invariant_factors(ell)
         try:
-            got = group.certify_factors(group.enumerate_elements(ell))
+            got = certify_factors(group.enumerate_elements(ell))
             ok, detail = got == predicted, f"certified {got}, predicted {predicted}"
         except CircfibError as exc:
             ok, detail = False, str(exc)
@@ -112,10 +167,106 @@ def criterion_structure(max_ell: int) -> list[Claim]:
     return claims
 
 
+def move_classes(n: int) -> list[list[Word]]:
+    """The nonzero length-n words with digits at most 2, grouped by move class.
+
+    Two words share a class when moves connect them through words with
+    digits at most 3, the digit cap at which ``rewrite.orbit`` explores the
+    same classes.  Words are coded in base 4 with the first digit most
+    significant, so code order is lexicographic order, and a set of codes
+    is an int with bit c set for each code c in it.  Each search grows the
+    set of one seed in place, by rounds of steps on the whole set: the
+    forward rule A moves at positions 0..n-1, then their inverses at n-1..0.
+    The search stops after a round that adds nothing, when the set is
+    closed under every step, so it is the seed's class: each step only adds
+    codes reachable by a move.  A backward move is the inverse of a forward
+    one, and a rule B move within the cap is two rule A moves within the cap
+    (see below), so these steps alone give the same connectivity.  Classes
+    come in the lexicographic order of their first members, and members in
+    lexicographic order.
+    """
+    cap = 3
+    base = cap + 1
+    places = [base ** (n - 1 - i) for i in range(n)]
+
+    def box(ranges) -> int:
+        # the set of codes whose digit at each slot lies in that slot's
+        # range, built from the last slot (place 1) up so the set grows
+        codes = 1
+        for place, digits in reversed(list(zip(places, ranges))):
+            codes = reduce(or_, [codes << d * place for d in digits])
+        return codes
+
+    # Rule B is not needed.  For n >= 4, where k-2, k-1, k and k+1 are
+    # distinct, forward B at k (w[k] -= 2, w[k-2] += 1, w[k+1] += 1) equals
+    # backward A at k-1 (w[k] -= 1, w[k-2] += 1, w[k-1] += 1) then forward
+    # A at k (w[k-1] -= 1, w[k] -= 1, w[k+1] += 1), or the same two moves
+    # in the other order.  The middle word differs from the start and end
+    # words at k-1 only, by +1 in the first order and -1 in the second, so
+    # it has digits in 0..3 in the first order when w[k-1] <= 2 and in the
+    # second when w[k-1] >= 1.  At n = 2 the tests compare the partition
+    # with the ``rewrite.orbit`` oracle instead.
+    forward, backward = [], []  # (codes the step applies to, code shift)
+    for k in range(n):
+        eats, makes = map(dict, _consume_produce(Move("A", k), n))
+        # A slot keeps at least what it loses and, after the move, at most
+        # the cap; a slot that both loses and gains (short lengths) is
+        # bounded by both.
+        lose_gain = [(eats.get(i, 0), makes.get(i, 0)) for i in range(n)]
+        mask = box(range(lose, min(base, base + lose - gain)) for lose, gain in lose_gain)
+        delta = sum((gain - lose) * place for (lose, gain), place in zip(lose_gain, places))
+        forward.append((mask, delta))
+        backward.append((_shift(mask, delta), -delta))
+    steps = forward + backward[::-1]
+    small = box([range(cap)] * n)
+    codes = _bits(small)
+    # Rotating a class gives a class: the moves at k+1 are those at k with
+    # the word rotated, and the cap holds digit by digit.  So one search
+    # serves a whole rotation orbit of classes, and the class rotated j
+    # slots is new exactly when the seed rotated j slots is not yet placed.
+    classes, done = [], set()
+    for seed in codes[1:]:  # codes[0] is the zero word
+        if seed in done:
+            continue
+        seen = 1 << seed
+        grown = True
+        while grown:
+            before = seen
+            for mask, delta in steps:
+                seen |= _shift(seen & mask, delta)
+            grown = seen != before
+        members = _bits(seen & small)
+        for j in range(n):
+            # rotating j slots, w -> w[j:] + w[:j], moves the first j digits last
+            cut, lift = base ** (n - j), base ** j
+            if seed % cut * lift + seed // cut not in done:
+                rotated = sorted(c % cut * lift + c // cut for c in members)
+                done.update(rotated)
+                classes.append(rotated)
+    word_of = dict(zip(codes, itertools.product(range(cap), repeat=n)))
+    return [[word_of[c] for c in members] for members in sorted(classes)]
+
+
+def _shift(codes: int, delta: int) -> int:
+    """The set of codes each moved by delta."""
+    return codes << delta if delta >= 0 else codes >> -delta
+
+
+def _bits(codes: int) -> list[int]:
+    """The codes in a set, in increasing order."""
+    text = bin(codes)[:1:-1]  # text[c] is bit c
+    out = []
+    c = text.find("1")
+    while c >= 0:
+        out.append(c)
+        c = text.find("1", c + 1)
+    return out
+
+
 def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     """Partition nonzero {0,1,2}-words of length n into move components.
 
-    The components are ``rewrite.move_classes(n)``: searches that sweep
+    The components are ``move_classes(n)``: searches that sweep
     the rule A moves at digit cap 3 to a fixpoint.  Returns (component count,
     identity-pair component count, all_ok) where all_ok requires every
     component to hold exactly one admissible word (two alternating ones for
@@ -243,7 +394,7 @@ def criterion_p_group(max_q: int) -> list[Claim]:
     for q in _depth("6", "order-q group", max_q):
         elements = [e.word for e in orderq.p_group(q)]
         try:
-            exponent, _ = group.certify_factors(elements)
+            exponent, _ = certify_factors(elements)
             certificate = f"exponent {exponent}, certified=True"
             ok = len(elements) == q * q and exponent == q
         except StructureMismatchError as exc:
@@ -284,6 +435,19 @@ def criterion_p_group(max_q: int) -> list[Claim]:
     return claims
 
 
+def repeat_morphism(u, n: int) -> Word:
+    """Concatenate the word with itself n times.
+
+    Cyclic admissibility is preserved by literal repetition, and the
+    canonical identity (01)^l repeats to (01)^(n*l), so the result needs
+    neither normalization nor a second check; the map is an injective
+    homomorphism into the group of parameter n*l.
+    """
+    if n < 1:
+        raise InvalidWordError(f"repetition count must be >= 1, got {n}")
+    return group.canonical(u) * n
+
+
 def criterion_gcd() -> list[Claim]:
     """gcd compatibility of the d-sequence up to index 30, and the morphism checks."""
     report = group.gcd_property_report(30)
@@ -304,12 +468,12 @@ def criterion_gcd() -> list[Claim]:
     pairs_ok = True
     for ell, reps in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         elements = group.enumerate_elements(ell)
-        image = {u: group.repeat_morphism(u, reps) for u in elements}
+        image = {u: repeat_morphism(u, reps) for u in elements}
         injective = len(set(image.values())) == len(elements)
 
         def image_of(s):
             # a sum that is no element, from a wrong law, is mapped on its own
-            return image[s] if s in image else group.repeat_morphism(s, reps)
+            return image[s] if s in image else repeat_morphism(s, reps)
 
         homomorphic = all(
             image_of(group.add(u, v)) == group.add(image[u], image[v])

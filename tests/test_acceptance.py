@@ -306,12 +306,12 @@ def test_wrong_repetition_morphism_is_caught(monkeypatch, wrong):
         "swapped": {a: b, b: a},
         "collapsed": dict.fromkeys(elements, ident),
     }[wrong]
-    repeat_morphism = group.repeat_morphism
+    repeat_morphism = verify.repeat_morphism
 
     def corrupted(u, reps):
         return repeat_morphism(source.get(u, u), reps)
 
-    monkeypatch.setattr(verify.group, "repeat_morphism", corrupted)
+    monkeypatch.setattr(verify, "repeat_morphism", corrupted)
     assert {c.subject: c.status for c in verify.criterion_gcd()} == {
         "gcd property m,n<=30": verify.PASS,
         "even-index d equals classical fib": verify.PASS,
@@ -475,17 +475,16 @@ def test_failed_partition_is_reported(monkeypatch):
 
 def test_failed_order_q_certificate_is_reported(monkeypatch):
     # a certificate that finds no second generator for the q = 3 group
-    from circfib import group
     from circfib.errors import StructureMismatchError
 
-    certify_factors = group.certify_factors
+    certify_factors = verify.certify_factors
 
     def corrupted(elements):
         if len(elements) == 9:
             raise StructureMismatchError("no second generator")
         return certify_factors(elements)
 
-    monkeypatch.setattr(group, "certify_factors", corrupted)
+    monkeypatch.setattr(verify, "certify_factors", corrupted)
     claims = verify.criterion_p_group(max_q=4)
     bad = [(c.subject, c.status, c.detail) for c in claims if c.status != verify.PASS]
     assert bad == [
@@ -518,17 +517,16 @@ def test_wrong_binary_sum_is_caught(monkeypatch):
 
 def test_raised_structure_certificate_is_reported(monkeypatch):
     # a certificate that raises for the ell = 4 group (45 elements) only
-    from circfib import group
     from circfib.errors import StructureMismatchError
 
-    certify_factors = group.certify_factors
+    certify_factors = verify.certify_factors
 
     def corrupted(elements):
         if len(elements) == 45:
             raise StructureMismatchError("no second generator")
         return certify_factors(elements)
 
-    monkeypatch.setattr(group, "certify_factors", corrupted)
+    monkeypatch.setattr(verify, "certify_factors", corrupted)
     claims = verify.criterion_structure(max_ell=5)
     assert [(c.subject, c.status, c.detail) for c in claims] == [
         ("structure ell=2", verify.PASS, "certified (5, 1), predicted (5, 1)"),

@@ -1,5 +1,6 @@
 import itertools
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,8 +218,12 @@ def test_is_admissible():
 
 
 def _generator_as_word(digits):
-    # the generator-based validation that as_word replaced, as the oracle
+    # the generator-based validation that as_word replaced, as the oracle;
+    # text is parsed, and a number that int() would truncate is refused
+    digits = tuple(digits)
     w = tuple(int(d) for d in digits)
+    if any(int(d) != d for d in digits if not isinstance(d, (str, bytes, bytearray))):
+        raise InvalidWordError(f"word digits must be integers: {digits}")
     if not w:
         raise InvalidWordError("word must have length >= 1")
     if any(d < 0 for d in w):
@@ -281,6 +286,11 @@ _ODD_DIGIT = st.one_of(
 @example([0, 10**9], _generator)
 @example([True, False], tuple)
 @example([1.5, 0.0], tuple)
+@example([1.5, 0.9, 2], tuple)
+@example([-0.5], tuple)
+@example([Fraction(3, 2)], tuple)
+@example([Fraction(2, 1), 2.0, True, "3"], tuple)
+@example([0.9, "x"], tuple)
 @example("0101", lambda digits: digits)
 @example(b"\x01\x00", lambda digits: digits)
 @example(bytearray(b"\x00\x02"), lambda digits: digits)

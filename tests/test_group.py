@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +25,6 @@ from circfib.group import (
     GroupStructure,
     add,
     canonical,
-    certify_factors,
     d_value,
     decompose,
     element_order,
@@ -32,11 +32,10 @@ from circfib.group import (
     gcd_property_report,
     identity,
     neg,
-    predicted_invariant_factors,
-    repeat_morphism,
     scalar_mul,
 )
 from circfib.rewrite import equivalent, normalize, phi_pair, span_order
+from circfib.verify import certify_factors, predicted_invariant_factors, repeat_morphism
 
 A004146 = [1, 5, 16, 45, 121, 320, 841, 2205]
 
@@ -75,6 +74,21 @@ def test_add_examples():
     assert format_word(add(parse_word("0001"), parse_word("0100"))) == "0101"
     with pytest.raises(InvalidWordError):
         add(parse_word("01"), parse_word("0101"))
+
+
+@pytest.mark.parametrize(
+    "call, digits",
+    [
+        (lambda: normalize((1.7, 0, 0, 0)), "(1.7, 0, 0, 0)"),  # int() made it (1, 0, 0, 0)
+        (lambda: normalize((0.9, 0, 0, 0)), "(0.9, 0, 0, 0)"),  # int() made it the zero word
+        (lambda: add((0.6, 1, 0, 0), (0, 0, 1, 0)), "(0.6, 1, 0, 0)"),
+        (lambda: scalar_mul(2, (0, 1, 0, 1.5)), "(0, 1, 0, 1.5)"),
+    ],
+)
+def test_truncated_digits_are_refused(call, digits):
+    message = re.escape(f"word digits must be integers: {digits}")
+    with pytest.raises(InvalidWordError, match=f"^{message}$"):
+        call()
 
 
 def test_add_identity_law_exhaustive():
@@ -229,13 +243,13 @@ def test_decompose_matches_prediction():
 
 
 def test_decompose_enumerates_nothing(monkeypatch, capsys):
-    from circfib import cli, group, wheels
+    from circfib import cli, group, verify, wheels
 
     def refuse(*args):
         raise AssertionError("enumerated or certified")
 
     monkeypatch.setattr(group, "enumerate_elements", refuse)
-    monkeypatch.setattr(group, "certify_factors", refuse)
+    monkeypatch.setattr(verify, "certify_factors", refuse)
     assert decompose(10) == GroupStructure(15125, (275, 55), 55)
     assert cli.main(["group", "--ell", "10", "--count"]) == 0
     assert cli.main(["group", "--ell", "10", "--structure"]) == 0

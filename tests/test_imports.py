@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, a
-one-shot command loads only the modules it runs, and no module loads
-``dataclasses``, whose import pulls in ``inspect``, ``ast`` and ``dis``."""
+one-shot command loads only the modules it runs, the engine modules hold no
+code that only ``verify`` runs, and no module loads ``dataclasses``, whose
+import pulls in ``inspect``, ``ast`` and ``dis``."""
 
 import ast
 import json
@@ -144,3 +145,58 @@ def test_warm_wheel_map_hit_does_not_load_wheels(tmp_path):
     assert (cold.stderr, warm.stderr) == (b"True\n", b"False\n")
     assert warm.stdout == cold.stdout
     assert cold.stdout.count(b"\n") == 1 + 45  # the header and the 4-wheel's 45 trees
+
+
+ENGINE = ("fibcore", "rewrite", "group")
+
+
+def verify_only_names(src: Path) -> list[str]:
+    """Top-level functions and classes of the engine modules that only
+    ``verify`` reads: no code of their own module (their own body aside)
+    and no other module of the package names them."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    readers = {
+        (stem, node.name): set()
+        for stem in ENGINE
+        for node in trees[stem].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for stem, tree in trees.items():
+        modules = {}  # local name -> module, from `from . import group`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif (node.module, alias.name) in readers:
+                        readers[node.module, alias.name].add(stem)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    key = (modules.get(node.value.id), node.attr)
+                elif isinstance(node, ast.Name):
+                    key = (stem, node.id)
+                else:
+                    continue
+                if key in readers and key != (stem, getattr(top, "name", None)):
+                    readers[key].add(stem)
+    return sorted(name for (_, name), seen in readers.items() if seen == {"verify"})
+
+
+def test_verify_only_names_are_found(tmp_path):
+    files = {
+        "fibcore.py": "def f():\n    return f()\n\ndef g():\n    pass\n",
+        "rewrite.py": "from .fibcore import g\n\ndef h():\n    return g()\n",
+        "group.py": "class K:\n    pass\n",
+        "verify.py": "from . import group\nfrom .fibcore import f\n\ndef run():\n    return f(), group.K\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    # f calls only itself, g serves rewrite, and h serves nothing
+    assert verify_only_names(tmp_path) == ["K", "f"]
+
+
+def test_code_only_verify_runs_lives_in_verify():
+    # every process compiles the engine modules, often with no bytecode
+    # cached; code that only the verification suites run belongs in verify
+    assert verify_only_names(SRC) == []

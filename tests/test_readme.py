@@ -1,4 +1,6 @@
 import doctest
+import importlib
+import re
 from pathlib import Path
 
 
@@ -23,3 +25,15 @@ def test_readme_depth_list_is_the_verify_table():
         (criterion, row, kind, str(first), str(ceiling), str(min(defaults[kind], ceiling)))
         for (criterion, row), (kind, first, ceiling) in verify.DEPTHS.items()
     ]
+
+
+def test_readme_cited_names_exist():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    cited = re.findall(r"\bcircfib\.([a-z_]+)\.([A-Za-z_]\w*)", text)
+    missing = [
+        f"circfib.{module}.{name}"
+        for module, name in cited
+        if not hasattr(importlib.import_module(f"circfib.{module}"), name)
+    ]
+    assert cited
+    assert missing == []

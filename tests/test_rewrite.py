@@ -27,13 +27,12 @@ from circfib.rewrite import (
     Move,
     apply_move,
     equivalent,
-    move_classes,
     normalize,
     orbit,
     phi_pair,
     span_order,
 )
-from circfib.verify import uniqueness_scan
+from circfib.verify import move_classes, uniqueness_scan
 
 
 def applicable_moves(word):
