@@ -8,7 +8,9 @@ Conventions used throughout the package:
   ``classical_fib``.
 * A digit word is a tuple of nonnegative ints.  Index 0 is the leftmost
   character of the text form and the least significant position: "0010" has
-  value F2 = 3.
+  value F2 = 3.  Inside the engine, a word whose digits are all 0..255 is
+  carried as the ``bytes`` object that checked it (``_digits``), with the
+  same indices; every public function returns tuples.
 * A circular word is an ordinary digit word read cyclically (indices mod the
   length) with a fixed origin.  Equality is positional: "1000" and "0001"
   are distinct circular words even though they are rotations of each other.
@@ -55,33 +57,44 @@ def classical_fib(n: int) -> int:
 
 
 def as_word(digits) -> Word:
-    """Coerce a digit sequence to a validated word tuple of ints.
+    """Coerce a digit sequence to a validated word tuple of ints: the
+    digits that ``_digits`` checked, as a tuple."""
+    return tuple(_digits(digits))
 
-    Digits 0..255 are checked and converted in C by ``bytes``; any other
-    digit (above 255, negative, a str or a float) takes the per-digit
-    ``int`` path, with the same result and the same errors.  A number that
-    ``int`` would truncate, such as 1.5 or Fraction(3, 2), is refused.
+
+def _digits(digits) -> bytes | Word:
+    """The checked digits of a word, in the form the engine reads.
+
+    Digits 0..255 are checked and converted in C by ``bytes``, and the
+    ``bytes`` object itself is returned; any other digit (above 255,
+    negative, a str or a float) takes the per-digit ``int`` path, which
+    returns a tuple of ints, with the same errors.  A number that ``int``
+    would truncate, such as 1.5 or Fraction(3, 2), is refused.
     """
     w = tuple(digits)
     try:
-        w = tuple(bytes(w))
+        b = bytes(w)
     except (TypeError, ValueError):
         digits, w = w, tuple(map(int, w))
-        # int() parses text, and a number is a digit only when it equals its int()
-        if any(i != d and not isinstance(d, (str, bytes, bytearray)) for d, i in zip(digits, w)):
+        # int() parses text, and a number is a digit only when it equals its
+        # int(); the per-digit scan runs only when the words differ
+        text = (str, bytes, bytearray)
+        if w != digits and any(i != d and not isinstance(d, text) for d, i in zip(digits, w)):
             raise InvalidWordError(f"word digits must be integers: {digits}") from None
         if min(w) < 0:
             raise InvalidWordError(f"word digits must be nonnegative: {w}") from None
-    if not w:
+        return w
+    if not b:
         raise InvalidWordError("word must have length >= 1")
-    return w
+    return b
 
 
 def phi_pair(word) -> tuple[int, int]:
     """Exact pair (x, y) with sum of digit * phi^index == x + y*phi, by
     Horner's rule from the top digit: phi*(x + y*phi) = y + (x + y)*phi."""
     x = y = 0
-    for d in reversed(tuple(word)):  # any iterable of ints; callers validate
+    # any iterable of ints; callers validate, and tuples and bytes are read in place
+    for d in reversed(word if isinstance(word, (tuple, bytes)) else tuple(word)):
         x, y = y + d, x + y
     return x, y
 
@@ -131,17 +144,17 @@ def _greedy(value: int, desc) -> Word:
 
 def is_admissible(word) -> bool:
     """True iff all digits are 0/1 and no two cyclically adjacent ones."""
-    return _is_admissible(as_word(word))
+    return _is_admissible(_digits(word))
 
 
-def _is_admissible(w: Word) -> bool:
-    """``is_admissible`` of a word tuple that ``as_word`` has already validated."""
+def _is_admissible(w: bytes | Word) -> bool:
+    """``is_admissible`` of digits that ``_digits`` has already checked."""
     try:
-        b = bytes(w)
+        b = bytes(w)  # the same object when w is already bytes
     except ValueError:  # a digit above 255 is not binary
         return False
     # on 0/1 digits the wrap pair is the first and last digit
-    return max(b) <= 1 and not (b[0] & b[-1] or b"\x01\x01" in b)
+    return not b.translate(None, b"\x00\x01") and not (b[0] & b[-1] or b"\x01\x01" in b)
 
 
 def rotate(word) -> Word:

@@ -26,7 +26,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import InvalidWordError, ResourceBoundError, ZeroWordError
-from .fibcore import Word, _is_admissible, as_word, classical_fib, fib, iter_admissible, phi_pair
+from .fibcore import Word, _digits, _is_admissible, classical_fib, fib, iter_admissible, phi_pair
 from .rewrite import _normalize_word, decode_pair, span_order
 
 DEFAULT_ENUM_BOUND = 10
@@ -46,25 +46,37 @@ def identity(ell: int) -> Word:
     return (0, 1) * ell
 
 
-def canonical(word) -> Word:
-    """Validate an admissible nonzero word and map (10)^l to ``identity(l)``."""
-    w = as_word(word)
+def _element(word) -> bytes:
+    """The digits of an admissible nonzero word of even length, as bytes."""
+    w = _digits(word)
     if len(w) % 2 != 0:
         raise InvalidWordError(f"group elements have even length, got {len(w)}")
     if not any(w):
         raise ZeroWordError("the zero word is not a group element")
     if not _is_admissible(w):
-        raise InvalidWordError(f"not an admissible circular word: {w}")
-    half = len(w) // 2
-    return identity(half) if w == (1, 0) * half else w
+        raise InvalidWordError(f"not an admissible circular word: {tuple(w)}")
+    return bytes(w)  # the int() path gives a tuple, from text or integral floats
+
+
+def canonical(word) -> Word:
+    """Validate an admissible nonzero word and map (10)^l to ``identity(l)``."""
+    b = _element(word)
+    half = len(b) // 2
+    return identity(half) if b == b"\x01\x00" * half else tuple(b)
 
 
 def add(u, v) -> Word:
     """Group law: digit-wise sum, then normalization."""
-    wu, wv = as_word(u), as_word(v)
-    if len(wu) != len(wv):
-        raise InvalidWordError(f"length mismatch: {len(wu)} vs {len(wv)}")
-    return _normalize_word(tuple(map(operator.add, wu, wv)))
+    a, b = _digits(u), _digits(v)
+    n = len(a)
+    if n != len(b):
+        raise InvalidWordError(f"length mismatch: {n} vs {len(b)}")
+    if isinstance(a, bytes) and isinstance(b, bytes) and a.isascii() and b.isascii():
+        # digits below 128 sum below 256, so one big-int addition carries nowhere
+        total = (int.from_bytes(a, "little") + int.from_bytes(b, "little")).to_bytes(n, "little")
+    else:
+        total = tuple(map(operator.add, a, b))
+    return _normalize_word(total)
 
 
 def neg(u) -> Word:
@@ -83,7 +95,7 @@ def scalar_mul(k: int, u) -> Word:
     cost is one normalization for any k.  Iterated ``add`` is the oracle
     in the tests.
     """
-    w = canonical(u)
+    w = _element(u)
     k = operator.index(k)
     x, y = phi_pair(w)
     return decode_pair(k * x, k * y, len(w))
@@ -135,7 +147,7 @@ def element_order(u) -> int:
     no decoding and no bound on the order; iterated ``add`` is the oracle
     in the tests.
     """
-    w = canonical(u)
+    w = _element(u)
     return span_order(len(w), phi_pair(w))
 
 

@@ -303,6 +303,39 @@ def test_word_checks_match_generator_versions(digits, form):
     assert _outcome(is_admissible, form(digits)) == _outcome(_generator_is_admissible, form(digits))
 
 
+def _is_admissible_by_max(w):
+    """``_is_admissible`` before it tested binarity with translate: max() of
+    the bytes."""
+    try:
+        b = bytes(w)
+    except ValueError:
+        return False
+    return max(b) <= 1 and not (b[0] & b[-1] or b"\x01\x01" in b)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=2, max_value=255),
+            st.integers(min_value=256, max_value=10**9),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+@example([1, 0, 1, 0])
+@example([1, 0, 2, 0])
+@example([0, 1, 0, 256])
+def test_is_admissible_on_bytes_and_tuples_matches_max_form(digits):
+    w = tuple(digits)
+    expected = _is_admissible_by_max(w)
+    assert fibcore._is_admissible(w) is expected
+    if max(w) <= 255:
+        assert fibcore._is_admissible(bytes(w)) is expected
+
+
 def test_rotate():
     assert format_word(rotate(parse_word("001000"))) == "000100"
     assert rotate((0,)) == (0,)

@@ -1,8 +1,9 @@
 import itertools
+import operator
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from circfib.errors import (
     InvalidWordError,
@@ -10,7 +11,9 @@ from circfib.errors import (
     StructureMismatchError,
     ZeroWordError,
 )
+from circfib import rewrite
 from circfib.fibcore import (
+    as_word,
     fib,
     format_word,
     is_admissible,
@@ -74,6 +77,68 @@ def test_add_examples():
     assert format_word(add(parse_word("0001"), parse_word("0100"))) == "0101"
     with pytest.raises(InvalidWordError):
         add(parse_word("01"), parse_word("0101"))
+
+
+def _add_before_bytes(u, v):
+    """``add`` before checked digits stayed bytes: two validated tuples,
+    summed digit by digit, then the normalization layer."""
+    wu, wv = as_word(u), as_word(v)
+    if len(wu) != len(wv):
+        raise InvalidWordError(f"length mismatch: {len(wu)} vs {len(wv)}")
+    return rewrite._normalize_word(tuple(map(operator.add, wu, wv)))
+
+
+# each word takes its digits from one set: 0/1, the carry-free bytes sum below
+# 128, bytes from 128 to 255, the int() path from 256 on, a mix with bools
+# and digit strings, or all zeros
+_ADD_DIGITS = (
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=127),
+    st.integers(min_value=128, max_value=255),
+    st.integers(min_value=256, max_value=10**12),
+    st.one_of(
+        st.integers(min_value=0, max_value=300), st.booleans(), st.sampled_from(["0", "1", "7", "200"])
+    ),
+    st.just(0),
+)
+
+
+@st.composite
+def _add_case(draw):
+    n = draw(st.sampled_from((2, 4, 6, 24, 240)))
+    m = n if draw(st.integers(min_value=0, max_value=9)) else draw(st.sampled_from((2, 3, 4)))
+    words = (st.lists(draw(st.sampled_from(_ADD_DIGITS)), min_size=k, max_size=k) for k in (n, m))
+    return tuple(tuple(draw(w)) for w in words)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_add_case())
+@example(((127,) * 24, (127,) * 24))  # the largest carry-free sum
+@example(((127, 0), (0, 128)))  # one word past the carry-free range
+@example(((0, 0, 0, 0), (0, 0, 0, 0)))  # the zero sum
+@example(((0, 300, 0, 0), (0, 0, 0, 0)))  # a tuple and a bytes word
+@example(((True, False), ("0", "1")))
+@example(((0, 1), (0, 1, 0, 1)))
+def test_add_matches_tuple_sum_oracle(case):
+    u, v = case
+    outcome = _outcome(add, u, v)
+    assert outcome == _outcome(_add_before_bytes, u, v)
+    if outcome[0] == "ok":
+        assert type(outcome[1]) is tuple and all(type(d) is int for d in outcome[1])
+
+
+def test_canonical_message_prints_the_tuple_form():
+    for word in ((1, 1, 0, 0), b"\x01\x01\x00\x00", "1100", (1, 1, 0, 256)):
+        message = r"^not an admissible circular word: \(1, 1, 0, (0|256)\)$"
+        with pytest.raises(InvalidWordError, match=message):
+            canonical(word)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from circfib.fibcore import (
     fib,
     format_word,
     is_admissible,
+    iter_admissible,
     parse_word,
     valuation,
     zeckendorf,
@@ -730,6 +731,28 @@ def test_decode_at_more_lengths_than_the_record_cache_holds():
 def test_degenerate_modulus_is_refused(refuse, n):
     with pytest.raises(InvalidWordError, match=f"^degenerate modulus at length {n}$"):
         refuse(n)
+
+
+@pytest.mark.parametrize("n", [-1, 1, 3, 5, 15, 1001])
+def test_decode_pair_refuses_odd_length(n):
+    # the window proof covers only even n
+    with pytest.raises(InvalidWordError, match=f"^normalization requires even length, got {n}$"):
+        rewrite.decode_pair(1, 0, n)
+
+
+def test_odd_length_admissible_words_hit_each_residue_once():
+    # at odd n the norm of phi^n - 1 is -L(n), with L the Lucas numbers, and
+    # the L(n) admissible words, the zero word included, have distinct residues
+    lucas = [2, 1]
+    for n in range(1, 16, 2):
+        while len(lucas) <= n:
+            lucas.append(lucas[-1] + lucas[-2])
+        words = list(iter_admissible(n))
+        keys = set()
+        for w in words:
+            num1, num2, norm = rewrite._quotient(*phi_pair(w), n)
+            keys.add((num1 % norm, num2 % norm))
+        assert len(words) == len(keys) == norm == lucas[n], n
 
 
 def test_equivalent():
