@@ -50,16 +50,17 @@ def minimal_even_length(q: int) -> int:
 
 
 def pi_words(q: int) -> tuple[Word, Word]:
-    """The distinguished pair (P, P') at the canonical length for q."""
+    """The distinguished pair (P, P') at the canonical length for q.
+
+    Both greedy words are cyclically admissible.  F(k) <= 2F(k-1), with
+    F = ``fib``, and q >= 2 give (F(n) - 1)/q < F(n-1) and
+    (F(n-1) - 1)/q < F(n-2), so the top digit of P and the top two digits
+    of P' are 0, and neither wrap pair is 1-1.
+    """
     n = minimal_even_length(q)
     num, num_prime = fib(n) - 1, fib(n - 1) - 1
     assert num % q == 0 and num_prime % q == 0
-    pi = zeckendorf(num // q, n)
-    pi_prime = zeckendorf(num_prime // q, n)
-    for w in (pi, pi_prime):
-        if not is_admissible(w):
-            raise InvalidWordError(f"distinguished word not cyclically admissible: {w}")
-    return pi, pi_prime
+    return zeckendorf(num // q, n), zeckendorf(num_prime // q, n)
 
 
 class PeriodicElement(NamedTuple):

@@ -6,12 +6,13 @@ by the word X in {(01)^l, (10)^l, (11)^l} satisfying
     valuation(u) + valuation(-u) == valuation(X).
 
 The identity representatives are assigned by convention: (01)^l to T01 and
-(10)^l to T10.  The same partition has a purely structural description by
-the run of zeros before the first 1 and the last digit; under this
-package's anchored left-to-right reading the (01)/(10) labels come out
-mirrored relative to the shape rule stated for the opposite reading, and
-that mirrored assignment is the one cross-validated exhaustively against
-the valuation classes (see ``structural_class``).
+(10)^l to T10.  ``classify`` reads the class off the word's shape, the
+parity of the index of its first 1 and its last digit, and the proof next
+to it shows that the shape picks the one equation u satisfies; it decodes
+nothing.  Under this package's anchored left-to-right reading the (01)/(10)
+labels come out mirrored relative to the shape rule stated for the
+opposite reading.  Criterion 8 of the verification suite keeps the
+valuation equations, with -u decoded, as the independent route.
 
 ``type_classes`` computes the partition once, classifying each element
 once; ``image_sets`` and ``sigma_relation_check`` read it.  The valuation
@@ -33,7 +34,6 @@ from .fibcore import (
     fib,
     fibonacci_word_prefix,
     letter_counts,
-    phi_pair,
     rotate,
     valuation,
 )
@@ -45,7 +45,6 @@ from .group import (
     enumerate_elements,
     identity,
 )
-from .rewrite import decode_pair
 
 T01 = "T01"
 T10 = "T10"
@@ -57,50 +56,57 @@ TAGS = (T01, T10, T11)
 # 2-vCPU host)
 PARTITION_CEILING = 18
 
-def _target_valuations(ell: int) -> dict[str, int]:
-    n = 2 * ell
-    return {
-        T01: fib(n) - 1,       # N((01)^l)
-        T10: fib(n - 1) - 1,   # N((10)^l)
-        T11: fib(n + 1) - 2,   # N((11)^l)
-    }
-
-
+# Why the shape picks the class, for n = 2l >= 4 (at n = 2 the identity is
+# the only element).  Write eps = phi^-n, nu = phi^n - 1, and sigma(w) =
+# sum of w_i (-1/phi)^i, the conjugate of w's pair (``fibcore.phi_pair``).
+# The pairs of (01)^l, (10)^l and 1^n are nu, nu/phi and phi*nu, with
+# sigma -(1 - eps), phi*(1 - eps) and (1 - eps)/phi.  For a nonzero binary
+# word w with no two adjacent ones, sigma(w) lies in (-1, phi) (the
+# conjugate window at ``rewrite._SEARCH_WINDOW``), and:
+#
+# * (F1) w[0] = 1 exactly when sigma(w) > 1/phi.  Written 1 0 w' or 0 w',
+#   sigma(w) is 1 + sigma(w')/phi^2 in (1/phi, phi), or -sigma(w')/phi in
+#   (-1, 1/phi).
+# * (F2) sigma(w) has the sign (-1)^i, i the index of the first 1: it is
+#   (-1/phi)^i times the sigma of a word that starts with 1, by F1 > 0.
+# * (F3) sigma(w) <= phi*(1 - eps), the sum over the even indices, with
+#   equality only at (10)^l.
+#
+# Take an element u other than the identity, so 1 <= val(u) <= F(n) - 2,
+# with F = ``fib`` (only (01)^l has valuation F(n) - 1).  Pick X by the
+# shape, let V = val(X) - val(u) and v the greedy word of V.  In each case
+# below 1 <= V <= F(n) - 1 and sigma(pair(X) - pair(u)) lies in (-1, phi),
+# so by the window lemma v has the pair pair(X) - pair(u), and v is
+# cyclically admissible and not (10)^l.  Then u + v is in the zero class,
+# and since each residue has one element (the argument at
+# ``rewrite._MEMO_CEILING``), v = -u: u satisfies X's equation.  The three
+# valuations of X differ, so it satisfies no other.
+#
+# * First 1 at an odd index, X = (01)^l: V = F(n) - 1 - val(u) is in
+#   [1, F(n) - 2].  By F2 sigma(u) is in (-1, 0), so sigma(nu - u) is in
+#   (-(1 - eps), eps), and v[0] = 0 by F1.
+# * First 1 at an even index, last digit 0, X = (10)^l: u is a greedy word
+#   of n - 1 digits other than (10)^l, so val(u) <= F(n-1) - 2 and V is in
+#   [1, F(n-1) - 2].  By F2 and F3 sigma(u) is in (0, phi*(1 - eps)), so
+#   sigma(nu/phi - u) is too.  As V < F(n-1), v[n-1] = 0, and v is not
+#   (10)^l, of valuation F(n-1) - 1.
+# * First 1 at an even index, last digit 1, X = 1^n: val(u) >= F(n-1), so
+#   V = F(n+1) - 2 - val(u) is in [F(n-1), F(n) - 2] and v[n-1] = 1.  By F2
+#   and F3 sigma(u) is in (0, phi*(1 - eps)), so sigma(phi*nu - u) is in
+#   (-(1 - eps), (1 - eps)/phi), and v[0] = 0 by F1.
+#
+# The identity (01)^l has its first 1 at index 1, so the rule tags it T01.
 def classify(u) -> str:
-    """Tag of the unique class equation the element satisfies.
+    """Tag of the class equation the element satisfies, read off its shape.
 
-    The identity, (01)^l once ``canonical`` has mapped (10)^l to it, is
-    tagged T01 by convention; every other element must satisfy exactly one
-    of the three valuation equations, and a miss raises PartitionError
-    rather than guessing.  The input is validated once: both valuations
-    are x + 2y of a pair, u's from its ``phi_pair`` (x, y) and -u's from
-    the word that ``decode_pair(-x, -y, n)`` gives, which is ``neg(u)``.
+    After ``canonical`` (which maps (10)^l to the identity (01)^l), a first
+    1 at an odd index gives T01; otherwise the last digit, 0 or 1, gives
+    T10 or T11.  The proof above shows that this is the one valuation
+    equation u satisfies, and the identity comes out T01, its convention.
+    Criterion 8 checks the rule against the equations with -u decoded.
     """
     w = canonical(u)
-    n = len(w)
-    ell = n // 2
-    if w == identity(ell):
-        return T01
-    x, y = phi_pair(w)
-    nx, ny = phi_pair(decode_pair(-x, -y, n))
-    total = x + 2 * y + nx + 2 * ny
-    hits = [tag for tag, v in _target_valuations(ell).items() if v == total]
-    if len(hits) != 1:
-        raise PartitionError(f"element {w} matches {len(hits)} class equations")
-    return hits[0]
-
-
-def structural_class(u) -> str:
-    """Tag from the zero-run/suffix shape of the word; no group arithmetic."""
-    w = canonical(u)
-    ell = len(w) // 2
-    if w == identity(ell):
-        raise InvalidWordError("identity representatives are tagged by convention")
-    # Shape rule, reading from index 0: odd zero-run before the first 1 (there
-    # is one: ``canonical`` refused the zero word), or an even zero-run with
-    # last digit 0 / 1.  The labels are the mirror of the ones the shapes
-    # would carry under the opposite reading direction.
-    if w.index(1) % 2 == 1:
+    if w.index(1) % 2 == 1:  # there is a 1: ``canonical`` refused the zero word
         return T01
     return T10 if w[-1] == 0 else T11
 

@@ -11,7 +11,9 @@ The code that only the suites run lives here, so that importing the engine
 compiles none of it: ``move_classes``, the partition by move class that
 criterion 3 checks the normalizer against; ``certify_factors``, the
 two-generator certificate of criteria 2 and 6; the invariant factors that
-the d-formula predicts; and criterion 7's repetition morphism.
+the d-formula predicts; criterion 7's repetition morphism; and criterion
+8's valuation equations, the paper's definition of the types, against
+which the shape rule of ``typology.classify`` is checked.
 ``move_classes`` partitions all {0,1,2}-words of a length at once: each
 search grows a set of base-4 codes, held as an int bitset, in place by
 sweeps of the rule A moves both ways at digit cap 3 until a sweep adds
@@ -33,13 +35,14 @@ from .errors import CircfibError, InvalidWordError, ResourceBoundError, Structur
 from .fibcore import (
     Word,
     _balanced_windows,
+    fib,
     fibonacci_word_prefix,
     is_admissible,
     iter_admissible,
     phi_pair,
     rotate,
 )
-from .rewrite import Move, _consume_produce, normalize, span_order
+from .rewrite import Move, _consume_produce, _refuse_odd, decode_pair, normalize, span_order
 
 PASS = "pass"
 FAIL = "fail"
@@ -276,8 +279,7 @@ def uniqueness_scan(n: int) -> tuple[int, int, bool]:
     components = identity_components = 0
     ok = True
     ident = group.identity(n // 2)
-    if n % 2:  # refused before the search, with normalize's message
-        raise InvalidWordError(f"normalization requires even length, got {n}")
+    _refuse_odd(n)  # before the search
     identity_pair = {ident, rotate(ident)}
     words = set(iter_admissible(n))
     for members in move_classes(n):
@@ -484,11 +486,26 @@ def criterion_gcd() -> list[Claim]:
     return claims
 
 
+def _valuation_tag(u: Word) -> str | None:
+    """The tag of the class equation valuation(u) + valuation(-u) ==
+    valuation(X) that the element u satisfies, X one of (01)^l, (10)^l and
+    1^n, or None if it satisfies none: the paper's definition, with -u
+    decoded from the negated pair, which ``typology.classify`` never does."""
+    n = len(u)
+    x, y = phi_pair(u)
+    nx, ny = phi_pair(decode_pair(-x, -y, n))
+    # the valuations of (01)^l, (10)^l and 1^n, in TAGS order
+    targets = dict(zip((fib(n) - 1, fib(n - 1) - 1, fib(n + 1) - 2), typology.TAGS))
+    return targets.get(x + 2 * y + nx + 2 * ny)
+
+
 def criterion_types(max_ell: int) -> list[Claim]:
-    """Partition totality, rotation relation, and image-set comparisons.
+    """Partition totality, shape rule against the valuation equations,
+    rotation relation, and image-set comparisons.
 
     Each ell's partition is built once, by ``typology.type_classes``, and
-    every row reads it.
+    every row reads it; the structural row checks each class against
+    ``_valuation_tag``.
     """
     ells = _depth("8", "classify total", max_ell)
     partitions = {}
@@ -502,7 +519,7 @@ def criterion_types(max_ell: int) -> list[Claim]:
         ident = group.identity(ell)
         for tag, words in classes.items():
             # the identity representatives are tagged by convention only
-            if any(typology.structural_class(u) != tag for u in words - {ident, rotate(ident)}):
+            if any(_valuation_tag(u) != tag for u in words - {ident, rotate(ident)}):
                 structural_ok = False
     total_ok = len(partitions) == len(ells)
     sigma_ok = total_ok and all(map(typology.sigma_relation_check, partitions.values()))

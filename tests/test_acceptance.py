@@ -354,6 +354,24 @@ def test_wrong_type_is_caught(monkeypatch):
     assert status["T10 image set ell=4"] == verify.PASS
 
 
+def test_wrong_valuation_targets_are_caught(monkeypatch):
+    # verify's valuation targets one off at n = 8 only, where fib(8) is
+    # T01's target: the structural row fails and no other row moves
+    from circfib.fibcore import fib
+
+    before = [(c.subject, c.status) for c in verify.criterion_types(max_ell=5)]
+    monkeypatch.setattr(verify, "fib", lambda k: fib(k) + (k == 8))
+    after = [(c.subject, c.status) for c in verify.criterion_types(max_ell=5)]
+    changed = [(a, b) for a, b in zip(before, after) if a != b]
+    assert changed == [
+        (
+            ("structural rule agrees with classify", verify.PASS),
+            ("structural rule agrees with classify", verify.FAIL),
+        )
+    ]
+    assert len(after) == len(before)
+
+
 def test_wrong_last_multiple_is_caught(monkeypatch):
     # a decoder that is right except that it returns the identity as
     # (10)^l, which only the q-th multiple of the distinguished word reaches

@@ -53,11 +53,12 @@ def test_minimal_even_length_scan_limit(monkeypatch):
         minimal_even_length(89)
 
 
-def test_pi_words_refuses_a_word_that_is_not_cyclically_admissible(monkeypatch):
-    # a greedy word with a 1 at both ends is admissible only when read linearly
-    monkeypatch.setattr(orderq, "zeckendorf", lambda value, n: (1,) + (0,) * (n - 2) + (1,))
-    with pytest.raises(InvalidWordError, match="distinguished word not cyclically admissible"):
-        pi_words(4)
+def test_pi_words_top_digits_are_zero():
+    # the proof in pi_words: the top digit of P and the top two of P' are
+    # 0, so neither wrap pair is 1-1
+    for q in range(2, 401):
+        pi, pi_prime = pi_words(q)
+        assert pi[-1] == 0 and pi_prime[-2:] == (0, 0), q
 
 
 def test_pi_words_examples():

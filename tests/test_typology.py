@@ -5,9 +5,10 @@ import pytest
 
 from circfib import typology
 from circfib.errors import InvalidWordError, PartitionError, ResourceBoundError
-from circfib.fibcore import fib, fibonacci_word_prefix, parse_word, valuation
+from circfib.fibcore import fib, fibonacci_word_prefix, parse_word, phi_pair, valuation, zeckendorf
 from circfib.group import canonical, d_value, enumerate_elements, identity, neg, scalar_mul
 from circfib.orderq import minimal_even_length, pi_words
+from circfib.rewrite import _above_sqrt5
 from circfib.typology import (
     T01,
     T10,
@@ -16,7 +17,6 @@ from circfib.typology import (
     fib_partition,
     image_sets,
     sigma_relation_check,
-    structural_class,
     type_classes,
 )
 
@@ -24,6 +24,7 @@ from circfib.typology import (
 def test_classify_examples():
     assert classify(parse_word("0001")) == T01
     assert classify(parse_word("0010")) == T10
+    assert classify(parse_word("1000")) == T10
     assert classify(parse_word("001001")) == T11
 
 
@@ -33,14 +34,6 @@ def test_classify_identity_conventions():
     assert classify(parse_word("1010")) == T01
 
 
-def test_classify_refuses_an_element_outside_every_class(monkeypatch):
-    # no element's valuation sum is 0, so none satisfies a class equation
-    monkeypatch.setattr(typology, "_target_valuations", lambda ell: dict.fromkeys(typology.TAGS, 0))
-    message = "element (0, 0, 0, 1) matches 0 class equations"
-    with pytest.raises(PartitionError, match=re.escape(message)):
-        classify((0, 0, 0, 1))
-
-
 def test_classify_total_and_unique():
     for ell in range(2, 6):
         for u in enumerate_elements(ell):
@@ -48,18 +41,20 @@ def test_classify_total_and_unique():
 
 
 def _classify_through_neg(u):
-    """``classify``'s oracle: the valuation sum through the public
-    ``valuation`` and ``neg``, each of which validates and encodes again."""
+    """``classify``'s oracle: the class equation valuation(u) +
+    valuation(-u) == valuation(X), through the public ``valuation`` and
+    ``neg``, each of which validates and encodes again."""
     w = canonical(u)
-    ell = len(w) // 2
-    if w == identity(ell):
+    n = len(w)
+    if w == identity(n // 2):
         return T01
     total = valuation(w) + valuation(neg(w))
-    (tag,) = [tag for tag, v in typology._target_valuations(ell).items() if v == total]
+    targets = {T01: fib(n) - 1, T10: fib(n - 1) - 1, T11: fib(n + 1) - 2}
+    (tag,) = [tag for tag, v in targets.items() if v == total]
     return tag
 
 
-@pytest.mark.parametrize("ell", range(1, 8))
+@pytest.mark.parametrize("ell", range(1, 11))
 def test_classify_matches_the_valuation_and_neg_route(ell):
     elements = enumerate_elements(ell)
     assert [classify(u) for u in elements] == [_classify_through_neg(u) for u in elements]
@@ -67,21 +62,36 @@ def test_classify_matches_the_valuation_and_neg_route(ell):
     assert classify(ident) == _classify_through_neg(ident) == T01
 
 
-def test_structural_class_examples():
-    assert structural_class(parse_word("0010")) == classify(parse_word("0010"))
-    assert structural_class(parse_word("1000")) == classify(parse_word("1000")) == T10
-    assert structural_class(parse_word("001001")) == T11
-    with pytest.raises(InvalidWordError):
-        structural_class(identity(2))
+def _sigma(word):
+    """The conjugate x + y*conj(phi) of the word's pair (x, y), as (a, b)
+    standing for (a + b*sqrt5)/2."""
+    x, y = phi_pair(word)
+    return 2 * x + y, -y
 
 
-def test_structural_class_agrees_exhaustively():
-    for ell in range(2, 6):
-        ident = identity(ell)
-        for u in enumerate_elements(ell):
-            if u == ident:
-                continue
-            assert structural_class(u) == classify(u), u
+def _above(r, t):
+    """r > t, for (a, b) standing for (a + b*sqrt5)/2, decided on integers."""
+    return _above_sqrt5(r[0] - t[0], t[1] - r[1])
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_conjugate_facts_of_the_shape_proof(n):
+    # the window and F1-F3 of the proof next to classify, on every nonzero
+    # word of n digits with no two adjacent ones: the greedy words of
+    # 1..F(n)-1
+    minus_one, zero, inv_phi, phi = (-2, 0), (0, 0), (-1, 1), (1, 1)
+    evens = tuple(1 - i % 2 for i in range(n))  # (10)^l at even n
+    top = _sigma(evens)
+    for value in range(1, fib(n)):
+        w = zeckendorf(value, n)
+        sigma = _sigma(w)
+        assert _above(sigma, minus_one) and _above(phi, sigma), w
+        assert (w[0] == 1) == _above(sigma, inv_phi), w  # F1
+        if w.index(1) % 2 == 0:  # F2
+            assert _above(sigma, zero), w
+        else:
+            assert _above(zero, sigma), w
+        assert w == evens or _above(top, sigma), w  # F3
 
 
 def test_class_sizes_ell2():
