@@ -24,7 +24,6 @@ from circfib.typology import (
 def test_classify_examples():
     assert classify(parse_word("0001")) == T01
     assert classify(parse_word("0010")) == T10
-    assert classify(parse_word("1000")) == T10
     assert classify(parse_word("001001")) == T11
 
 
@@ -60,6 +59,14 @@ def test_classify_matches_the_valuation_and_neg_route(ell):
     assert [classify(u) for u in elements] == [_classify_through_neg(u) for u in elements]
     ident = (1, 0) * ell  # the identity written as (10)^l
     assert classify(ident) == _classify_through_neg(ident) == T01
+
+
+def test_structural_class_examples():
+    # the class read off the word's shape agrees with the valuation route
+    for text, tag in (("0010", T10), ("1000", T10), ("001001", T11)):
+        assert classify(parse_word(text)) == _classify_through_neg(parse_word(text)) == tag
+    with pytest.raises(InvalidWordError):
+        classify(parse_word("1100"))
 
 
 def _sigma(word):
