@@ -34,6 +34,10 @@ from .rewrite import normalize, orbit
 
 Record = dict[str, object]
 
+# --max-ell's default: the group, types, fibword and wheel commands refuse a
+# larger --ell (orderq keeps its own default, on half the canonical length)
+DEFAULT_ENUM_BOUND = 10
+
 
 def _text(value) -> str:
     """The one rule for printing a record value: a plain tuple is a word,
@@ -139,13 +143,13 @@ def _tree_bits(t, ell: int) -> Record:
     }
 
 
-def _cached_records(args, limit: dict, name: str, compute):
+def _cached_records(args, name: str, compute):
     """The records of an ell-keyed listing, read from the disk cache when
-    one is set.  The bound and the listing ceiling are refused first,
-    whatever the cache holds."""
+    one is set.  The listing ceiling is refused first, as ``dispatch``
+    refused the bound, whatever the cache holds."""
     from . import cache
 
-    group.check_ceiling(args.ell, group.LISTING_CEILING, "listing", **limit)
+    group.check_ceiling(args.ell, group.LISTING_CEILING, "listing")
     directory = args.cache_dir or os.environ.get(cache.ENV_VAR)
     if not directory:  # an empty CIRCFIB_CACHE means no cache
         return compute()
@@ -158,15 +162,18 @@ def _cached_records(args, limit: dict, name: str, compute):
 
 
 def dispatch(args) -> tuple[list[Record], int]:
-    # --max-ell (and orbit's --cap) only when given, so each library function
-    # keeps its own default; an explicit 0 is a bound too, and is refused downstream
-    limit = {} if args.max_ell is None else {"max_ell": args.max_ell}
+    # the one check of --ell against the bound, before any other check on
+    # --ell and before the disk cache; an explicit 0 is a bound too
+    bound = DEFAULT_ENUM_BOUND if args.max_ell is None else args.max_ell
+    if hasattr(args, "ell") and args.ell > bound:
+        raise ResourceBoundError(f"ell={args.ell} exceeds enumeration bound {bound}")
 
     if args.command == "reduce":
         w = parse_word(args.word)
         return [{"word": w, "normal_form": normalize(w)}], 0
 
     if args.command == "orbit":
+        # --cap only when given, so orbit keeps its own default
         cap = {} if args.cap is None else {"size_cap": args.cap}
         result = orbit(parse_word(args.word), args.digit_cap, **cap)
         if result.truncated:  # orbit stops with exactly size_cap states
@@ -187,25 +194,27 @@ def dispatch(args) -> tuple[list[Record], int]:
 
     if args.command == "group":
         if args.count:
-            return [{"ell": args.ell, "order": group.decompose(args.ell, **limit).order}], 0
+            return [{"ell": args.ell, "order": group.decompose(args.ell).order}], 0
         if args.list:
 
             def elements():
-                return [{"element": w} for w in group.enumerate_elements(args.ell, **limit)]
+                return [{"element": w} for w in group.enumerate_elements(args.ell)]
 
-            return _cached_records(args, limit, "group-elements", elements), 0
+            return _cached_records(args, "group-elements", elements), 0
         if args.structure:
-            s = group.decompose(args.ell, **limit)
+            s = group.decompose(args.ell)
             e1, e2 = s.invariant_factors
             return [{"ell": args.ell, "order": s.order, "e1": e1, "e2": e2, "d": s.d}], 0
         if args.ell > 4:
             raise ResourceBoundError("addition table supported only for ell <= 4")
-        elements = group.enumerate_elements(args.ell, **limit)
+        elements = group.enumerate_elements(args.ell)
         return [{"lhs": u, "rhs": v, "sum": group.add(u, v)} for u in elements for v in elements], 0
 
     if args.command == "orderq":
         from . import orderq
 
+        # --max-ell only when given, so p_group keeps its own default
+        limit = {} if args.max_ell is None else {"max_ell": args.max_ell}
         if args.min_length:
             return [{"q": args.q, "min_length": orderq.minimal_even_length(args.q)}], 0
         if args.pi:
@@ -230,10 +239,10 @@ def dispatch(args) -> tuple[list[Record], int]:
         if args.partition:
             return [
                 {"element": u, "type": typology.classify(u)}
-                for u in group.enumerate_elements(args.ell, **limit)
+                for u in group.enumerate_elements(args.ell)
             ], 0
         if args.image_sets:
-            classes = typology.type_classes(args.ell, **limit)
+            classes = typology.type_classes(args.ell)
             return [
                 {
                     "type": tag,
@@ -243,13 +252,13 @@ def dispatch(args) -> tuple[list[Record], int]:
                 }
                 for tag, cmp in sorted(typology.image_sets(classes).items())
             ], 0
-        ok = typology.sigma_relation_check(typology.type_classes(args.ell, **limit))
+        ok = typology.sigma_relation_check(typology.type_classes(args.ell))
         return [{"check": "rotation-maps-T10-onto-T01", "status": ok}], 0 if ok else 1
 
     if args.command == "fibword":
         from . import typology
 
-        blocks = typology.fib_partition(args.ell, **limit)
+        blocks = typology.fib_partition(args.ell)
         return [b._asdict() for b in blocks], 0
 
     if args.command == "wheel":
@@ -259,27 +268,27 @@ def dispatch(args) -> tuple[list[Record], int]:
                 from . import wheels  # only on a cache miss: a warm hit reads the file
 
                 records = []
-                for t in wheels.spanning_trees(args.ell, **limit):
+                for t in wheels.spanning_trees(args.ell):
                     raw = wheels.tree_to_word(t)
                     records.append(
                         {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
                     )
                 return records
 
-            return _cached_records(args, limit, "wheel-map", tree_map), 0
+            return _cached_records(args, "wheel-map", tree_map), 0
         from . import wheels
 
         if args.count:
             return [
                 {
                     "ell": args.ell,
-                    "backtracking": len(wheels.spanning_trees(args.ell, **limit)),
+                    "backtracking": len(wheels.spanning_trees(args.ell)),
                     "determinant": wheels.count_trees_matrix(args.ell),
                 }
             ], 0
         if args.trees:
-            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell, **limit)], 0
-        report = wheels.identity_fiber_report(args.ell, **limit)
+            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell)], 0
+        report = wheels.identity_fiber_report(args.ell)
         return [
             {
                 "ell": args.ell,

@@ -29,11 +29,10 @@ from .errors import InvalidWordError, ResourceBoundError, ZeroWordError
 from .fibcore import Word, _digits, _is_admissible, classical_fib, fib, iter_admissible, phi_pair
 from .rewrite import _normalize_word, decode_pair, span_order
 
-DEFAULT_ENUM_BOUND = 10
 # A listing at ell holds about phi^(2l) entries, 2.6 times more per step:
 # at 12 (103,680 elements) `group --list` takes 0.4 s and `wheel --map` 4 s
-# and 234 MB (Python 3.11, 2 vCPU), so a larger ell is refused whatever the
-# enumeration bound says.
+# and 234 MB (Python 3.11, 2 vCPU), so a larger ell is refused here, the
+# library's only bound on a listing (the CLI's --max-ell comes first).
 LISTING_CEILING = 12
 GCD_CHECK_BOUND = 200
 
@@ -101,25 +100,18 @@ def scalar_mul(k: int, u) -> Word:
     return decode_pair(k * x, k * y, len(w))
 
 
-def check_enum_bound(ell: int, max_ell: int) -> None:
-    """Refuse an ell above the enumeration bound before any work starts."""
-    if ell > max_ell:
-        raise ResourceBoundError(f"ell={ell} exceeds enumeration bound {max_ell}")
-
-
-def check_ceiling(ell: int, ceiling: int, what: str, max_ell: int = DEFAULT_ENUM_BOUND) -> None:
-    """``check_enum_bound``, then refuse an ell above a command's fixed
-    ceiling, such as ``LISTING_CEILING``, whatever ``max_ell`` allows."""
-    check_enum_bound(ell, max_ell)
+def check_ceiling(ell: int, ceiling: int, what: str) -> None:
+    """Refuse an ell above a command's fixed ceiling, such as
+    ``LISTING_CEILING``, before any work starts."""
     if ell > ceiling:
         raise ResourceBoundError(f"ell={ell} exceeds the {what} ceiling {ceiling}")
 
 
-def enumerate_elements(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Word]:
+def enumerate_elements(ell: int) -> list[Word]:
     """All group elements of parameter l, in lexicographic word order."""
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    check_ceiling(ell, LISTING_CEILING, "listing", max_ell)
+    check_ceiling(ell, LISTING_CEILING, "listing")
     # the zero word comes first in lex order and (10)^l, the largest
     # admissible word, last; neither is an element
     return list(iter_admissible(2 * ell))[1:-1]
@@ -151,18 +143,18 @@ def element_order(u) -> int:
     return span_order(len(w), phi_pair(w))
 
 
-def decompose(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> GroupStructure:
+def decompose(ell: int) -> GroupStructure:
     """Order and invariant factors (e1, e2) of the group of parameter l,
     read off the lattice of ``rewrite.span_order`` with no enumeration.
 
     1 and phi generate the group, so the order is their span, the index
     norm.  The lattice rows (p, q) and (q, p + q) have entry gcd g, so the
     factors are (norm / g, g); the residue of 1 has index gcd(norm, p + q,
-    q) = g, so its order is the exponent e1.  The bound is still refused.
+    q) = g, so its order is the exponent e1.  It answers up to l = 50,000,
+    where the length 2l reaches ``fibcore.FIB_CEILING``, and refuses past it.
     """
     if ell < 1:
         raise InvalidWordError(f"ell must be >= 1, got {ell}")
-    check_enum_bound(ell, max_ell)
     order, e1 = span_order(2 * ell, (1, 0), (0, 1)), span_order(2 * ell, (1, 0))
     return GroupStructure(order, (e1, order // e1), d_value(ell))
 
@@ -187,23 +179,24 @@ class GcdPropertyReport(NamedTuple):
         return all(c.ok for c in self.pair_checks + self.even_index_checks)
 
 
-def gcd_property_report(max_ell: int) -> GcdPropertyReport:
-    """Check gcd(d_m, d_n) == d_gcd(m, n) for 2 <= m, n <= max_ell.
+def gcd_property_report(top: int) -> GcdPropertyReport:
+    """Check gcd(d_m, d_n) == d_gcd(m, n) for 2 <= m, n <= top.
 
     Also checks that d at even index 2l equals the classical Fibonacci
-    number f(2l).  Refuses a max_ell above GCD_CHECK_BOUND before any check.
+    number f(2l).  Refuses a top above GCD_CHECK_BOUND before any check;
+    the messages keep the name max_ell, which the CLI output pins.
     """
-    if max_ell < 2:
-        raise InvalidWordError(f"max_ell must be >= 2, got {max_ell}")
-    if max_ell > GCD_CHECK_BOUND:
-        raise ResourceBoundError(f"max_ell={max_ell} exceeds gcd-check bound {GCD_CHECK_BOUND}")
+    if top < 2:
+        raise InvalidWordError(f"max_ell must be >= 2, got {top}")
+    if top > GCD_CHECK_BOUND:
+        raise ResourceBoundError(f"max_ell={top} exceeds gcd-check bound {GCD_CHECK_BOUND}")
     pairs = tuple(
         GcdCheck(m, n, gcd(d_value(m), d_value(n)), d_value(gcd(m, n)))
-        for m in range(2, max_ell + 1)
-        for n in range(2, max_ell + 1)
+        for m in range(2, top + 1)
+        for n in range(2, top + 1)
     )
     evens = tuple(
         GcdCheck(2 * ell, 2 * ell, d_value(2 * ell), classical_fib(2 * ell))
-        for ell in range(1, max_ell // 2 + 1)
+        for ell in range(1, top // 2 + 1)
     )
     return GcdPropertyReport(pairs, evens)

@@ -336,9 +336,9 @@ def span_order(n: int, *pairs: tuple[int, int]) -> int:
 
 
 def _refuse_odd(n: int) -> None:
-    # The window proof above is written for even n.  At odd n the L(n)
-    # admissible words, the zero word included, hit each of the L(n)
-    # residues once (a test checks n <= 15), but no proof covers the window.
+    # Only even n has the window proof above.  At odd n each of the L(n) residues holds one
+    # admissible word, 0^n included (test_odd_length_admissible_words_hit_each_residue_once),
+    # and one move class (test_odd_length_move_classes_are_the_residues).
     if n % 2 != 0:
         raise InvalidWordError(f"normalization requires even length, got {n}")
 

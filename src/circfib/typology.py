@@ -37,14 +37,7 @@ from .fibcore import (
     rotate,
     valuation,
 )
-from .group import (
-    DEFAULT_ENUM_BOUND,
-    canonical,
-    check_ceiling,
-    d_value,
-    enumerate_elements,
-    identity,
-)
+from .group import canonical, check_ceiling, d_value, enumerate_elements, identity
 
 T01 = "T01"
 T10 = "T10"
@@ -129,7 +122,7 @@ def _prefix_counts(upto: int) -> list[tuple[int, int]]:
     return [(a, k - a) for k, a in zip(range(upto), a_counts)]
 
 
-def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, frozenset[Word]]:
+def type_classes(ell: int) -> dict[str, frozenset[Word]]:
     """The type partition of the group: each tag's class as a set of words.
 
     Every element is classified once; ``classify`` tags the identity
@@ -137,7 +130,7 @@ def type_classes(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> dict[str, froze
     as (10)^l, which is not an element.
     """
     classes: dict[str, set[Word]] = {T01: set(), T10: {rotate(identity(ell))}, T11: set()}
-    for u in enumerate_elements(ell, max_ell):
+    for u in enumerate_elements(ell):
         classes[classify(u)].add(u)
     return {tag: frozenset(words) for tag, words in classes.items()}
 
@@ -184,7 +177,7 @@ class PartitionBlock(NamedTuple):
     b_count: int
 
 
-def fib_partition(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[PartitionBlock]:
+def fib_partition(ell: int) -> list[PartitionBlock]:
     """Equal-frequency split of 'b' + prefix of the infinite word.
 
     The word of length F(2l-2) + 1 splits into k = d(l) blocks of length
@@ -195,12 +188,11 @@ def fib_partition(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[Partition
     2*a_count + b_count of the blocks.  The transposed split into d(l)-long
     blocks has provably non-constant counts from l = 4 on (at l = 3 both
     splits work).  Violations raise PartitionError.  The word grows like
-    phi^(2l), so the bound and ``PARTITION_CEILING`` are checked before it
-    is built.
+    phi^(2l), so ``PARTITION_CEILING`` is checked before it is built.
     """
     if ell <= 2:
         raise InvalidWordError(f"ell must be > 2, got {ell}")
-    check_ceiling(ell, PARTITION_CEILING, "partition", max_ell)
+    check_ceiling(ell, PARTITION_CEILING, "partition")
     total = fib(2 * ell - 2)
     word = "b" + fibonacci_word_prefix(total)
     k = d_value(ell)

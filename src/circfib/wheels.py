@@ -28,14 +28,7 @@ from typing import NamedTuple
 
 from .errors import InvalidWordError
 from .fibcore import Word
-from .group import (
-    DEFAULT_ENUM_BOUND,
-    LISTING_CEILING,
-    add,
-    check_ceiling,
-    decompose,
-    identity,
-)
+from .group import LISTING_CEILING, add, check_ceiling, decompose, identity
 from .rewrite import normalize
 
 # identity_fiber_report normalizes one generated word per group element,
@@ -68,9 +61,9 @@ def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
     return edges
 
 
-def spanning_trees(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> list[WheelTree]:
+def spanning_trees(ell: int) -> list[WheelTree]:
     """All spanning trees, by backtracking with union-find acyclicity."""
-    check_ceiling(ell, LISTING_CEILING, "listing", max_ell)
+    check_ceiling(ell, LISTING_CEILING, "listing")
     edges = wheel_edges(ell)
     need = ell  # a spanning tree of l+1 vertices has l edges
     parent = list(range(ell + 1))
@@ -236,17 +229,17 @@ def _tree_words(ell: int) -> frozenset[Word]:
     return frozenset(words)
 
 
-def identity_fiber_report(ell: int, max_ell: int = DEFAULT_ENUM_BOUND) -> IdentityFiberReport:
+def identity_fiber_report(ell: int) -> IdentityFiberReport:
     """How many even-zero-block words normalize to each group element.
 
     Generates the tree words (``_tree_words``) and keeps them in the
     report.  The taxonomy is expected to be a bijection,
     so every fiber should have size one, with the identity class
     represented by 1^(2l) alone.  The report records the actual sizes
-    rather than presuming them.  The bound and ``FIBER_SCAN_CEILING`` are
-    checked before the words are generated.
+    rather than presuming them.  ``FIBER_SCAN_CEILING`` is checked before
+    the words are generated.
     """
-    check_ceiling(ell, FIBER_SCAN_CEILING, "fiber scan", max_ell)
+    check_ceiling(ell, FIBER_SCAN_CEILING, "fiber scan")
     tree_words = _tree_words(ell)
     fiber = Counter(map(normalize, tree_words))
-    return IdentityFiberReport(ell, tree_words, decompose(ell, max_ell).order, fiber)
+    return IdentityFiberReport(ell, tree_words, decompose(ell).order, fiber)

@@ -391,6 +391,29 @@ def test_no_max_ell_refuses_at_the_library_default(capsys, argv, message):
     assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
+ELL_MODES = [
+    ("group", "--list"), ("group", "--count"), ("group", "--structure"), ("group", "--table"),
+    ("types", "--partition"), ("types", "--image-sets"), ("types", "--verify"),
+    ("fibword", "--partition"),
+    ("wheel", "--count"), ("wheel", "--trees"), ("wheel", "--map"), ("wheel", "--verify-bijection"),
+]
+
+
+BOUND_ORDER = [
+    # --ell 0 is invalid in every mode, but the bound is checked first
+    *((["--max-ell", "-1", command, "--ell", "0", mode], "ell=0 exceeds enumeration bound -1")
+      for command, mode in ELL_MODES),
+    # an ell above both the bound and the table's ceiling gets the bound's message
+    (["group", "--ell", "11", "--table"], "ell=11 exceeds enumeration bound 10"),
+    (["--max-ell", "12", "group", "--ell", "5", "--table"], "addition table supported only for ell <= 4"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in BOUND_ORDER])
+def test_bound_comes_before_every_other_ell_check(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("bound", ["--max-ell", "--max-q"])
 def test_zero_verify_bound_is_refused(capsys, bound):
     assert run_cli(capsys, bound, "0", "verify") == (

@@ -242,22 +242,17 @@ def test_enumerate_is_lex_sorted_and_excludes_other_identity():
 def test_enumerate_bound(monkeypatch):
     import circfib.group as group_module
 
-    with pytest.raises(ResourceBoundError):
-        enumerate_elements(11)
-    enumerate_elements(11, max_ell=11)
+    # --max-ell is the CLI's bound: the library lists up to its ceiling
+    assert len(enumerate_elements(11)) == 39601
 
-    # past the listing ceiling nothing is listed, whatever the bound says,
-    # and the enumeration bound is still refused first with its own message
+    # past the listing ceiling nothing is listed
     def no_listing(n):
         raise AssertionError(f"listed the words of length {n}")
 
     monkeypatch.setattr(group_module, "iter_admissible", no_listing)
     with pytest.raises(ResourceBoundError) as exc:
-        enumerate_elements(13, max_ell=10**6)
-    assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
-    with pytest.raises(ResourceBoundError) as exc:
         enumerate_elements(13)
-    assert str(exc.value) == "ell=13 exceeds enumeration bound 10"
+    assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
 
 
 def test_raw_admissible_count_is_order_plus_two():
@@ -389,7 +384,7 @@ def test_span_order_closed_forms():
         assert span_order(n, (1, 0)) == predicted_invariant_factors(ell)[0], ell
         assert span_order(n, (1, 0), (0, 1)) == lucas[n] - 2, ell
         expected = predicted_invariant_factors(ell)
-        assert decompose(ell, max_ell=ell) == (lucas[n] - 2, expected, d_value(ell)), ell
+        assert decompose(ell) == (lucas[n] - 2, expected, d_value(ell)), ell
 
 
 def test_element_order_refuses_non_elements():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, a
 one-shot command loads only the modules it runs, the engine modules hold no
-code that only ``verify`` runs, and no module loads ``dataclasses``, whose
-import pulls in ``inspect``, ``ast`` and ``dis``."""
+code that only ``verify`` runs, no library function of ``group``,
+``typology`` or ``wheels`` takes the CLI's ``max_ell``, and no module loads
+``dataclasses``, whose import pulls in ``inspect``, ``ast`` and ``dis``."""
 
 import ast
 import json
@@ -200,3 +201,32 @@ def test_code_only_verify_runs_lives_in_verify():
     # every process compiles the engine modules, often with no bytecode
     # cached; code that only the verification suites run belongs in verify
     assert verify_only_names(SRC) == []
+
+
+def functions_taking(source: str, name: str) -> list[str]:
+    """The functions, nested ones and lambdas included, with a parameter of
+    the given name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if name in (p.arg for p in params):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_functions_taking_are_found():
+    source = (
+        "def f(max_ell): pass\ndef g(*, max_ell=1): pass\ndef h(ell): pass\n"
+        "class C:\n    def m(self, /, max_ell): pass\n"
+        "k = lambda **max_ell: 0\n"
+    )
+    assert sorted(functions_taking(source, "max_ell")) == ["<lambda>", "f", "g", "m"]
+
+
+@pytest.mark.parametrize("stem", ["group", "typology", "wheels"])
+def test_the_enumeration_bound_is_the_clis_alone(stem):
+    # --max-ell is checked once, in cli.dispatch; these modules keep only
+    # their fixed ceilings (orderq's p_group keeps its own bound)
+    assert functions_taking((SRC / f"{stem}.py").read_text(), "max_ell") == []

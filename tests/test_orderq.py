@@ -152,7 +152,7 @@ def test_p_group_matches_enumeration_oracle():
     for q in range(2, 8):
         n = minimal_even_length(q)
         expected = []
-        for w in enumerate_elements(n // 2, max_ell=12):
+        for w in enumerate_elements(n // 2):
             x, y = phi_pair(w)
             if span_order(n, (q * x, q * y)) == 1:
                 expected.append(w)

@@ -755,6 +755,35 @@ def test_odd_length_admissible_words_hit_each_residue_once():
         assert len(words) == len(keys) == norm == lucas[n], n
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_length_move_classes_are_the_residues(n):
+    """At odd n the moves cut the nonzero {0,1,2}-words into exactly L(n)
+    classes, one per residue modulo phi^n - 1.  Each class holds exactly
+    one admissible word, except the class of 1^n, which holds none: its
+    residue is zero, and no move reaches the zero word, alone in the zero
+    class.  So at odd n the zero word stands for the class of 1^n, and the
+    admissible words form Z[phi]/(phi^n - 1), of order L(n)."""
+    lucas = [2, 1]
+    while len(lucas) <= n:
+        lucas.append(lucas[-1] + lucas[-2])
+
+    def key(w):
+        num1, num2, norm = rewrite._quotient(*phi_pair(w), n)
+        return num1 % norm, num2 % norm
+
+    classes = move_classes(n)
+    assert len(classes) == lucas[n]
+    keys = []
+    for members in classes:
+        residues = set(map(key, members))
+        assert len(residues) == 1, members
+        keys += residues
+        admissible = [w for w in members if is_admissible(w)]
+        assert len(admissible) == (0 if (1,) * n in members else 1), members
+    assert len(set(keys)) == len(keys) == lucas[n]
+    assert key((1,) * n) == key((0,) * n) == (0, 0)
+
+
 def test_equivalent():
     assert equivalent(parse_word("0101"), parse_word("1010"))
     assert equivalent(parse_word("0002"), parse_word("0010"))

@@ -209,13 +209,18 @@ def test_fib_partition_block_weight_equals_second_pi_valuation():
         assert 2 * blocks[0].a_count + blocks[0].b_count == valuation(pi_prime)
 
 
-def test_fib_partition_domain():
+def test_fib_partition_domain(monkeypatch):
     with pytest.raises(InvalidWordError):
         fib_partition(2)
-    # the bound comes first: at l = 40 the prefix would hold F(78), about 10^16, letters
-    with pytest.raises(ResourceBoundError, match="ell=40 exceeds enumeration bound 10"):
+    assert len(fib_partition(11)) == d_value(11)
+
+    # the ceiling comes first: at l = 40 the prefix would hold F(78), about 10^16, letters
+    def no_prefix(n):
+        raise AssertionError(f"built a prefix of {n} letters")
+
+    monkeypatch.setattr(typology, "fibonacci_word_prefix", no_prefix)
+    with pytest.raises(ResourceBoundError, match="^ell=40 exceeds the partition ceiling 18$"):
         fib_partition(40)
-    assert len(fib_partition(11, max_ell=11)) == d_value(11)
 
 
 def _flipped_at(i):

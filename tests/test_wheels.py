@@ -66,10 +66,9 @@ def test_spanning_trees_are_trees():
 
 
 def test_spanning_trees_bound():
-    with pytest.raises(ResourceBoundError):
-        spanning_trees(11)
+    # --max-ell is the CLI's bound: the library refuses only past the listing ceiling
     with pytest.raises(ResourceBoundError) as exc:
-        spanning_trees(13, max_ell=13)
+        spanning_trees(13)
     assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
 
 
