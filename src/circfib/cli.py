@@ -35,7 +35,7 @@ from .rewrite import normalize, orbit
 Record = dict[str, object]
 
 # --max-ell's default: the group, types, fibword and wheel commands refuse a
-# larger --ell (orderq keeps its own default, on half the canonical length)
+# larger --ell, the only thing --max-ell bounds
 DEFAULT_ENUM_BOUND = 10
 
 
@@ -213,8 +213,6 @@ def dispatch(args) -> tuple[list[Record], int]:
     if args.command == "orderq":
         from . import orderq
 
-        # --max-ell only when given, so p_group keeps its own default
-        limit = {} if args.max_ell is None else {"max_ell": args.max_ell}
         if args.min_length:
             return [{"q": args.q, "min_length": orderq.minimal_even_length(args.q)}], 0
         if args.pi:
@@ -223,9 +221,9 @@ def dispatch(args) -> tuple[list[Record], int]:
         if args.elements:
             return [
                 {"element": e.word, "primitive_period": e.primitive}
-                for e in orderq.p_group(args.q, **limit)
+                for e in orderq.p_group(args.q)
             ], 0
-        report = orderq.verify_pi_multiples(args.q, **limit)
+        report = orderq.verify_pi_multiples(args.q)
         records = [
             {"check": "multiples", "status": report.multiples_match},
             {"check": "rotation", "status": report.rotation_match},

@@ -184,12 +184,12 @@ def gcd_property_report(top: int) -> GcdPropertyReport:
 
     Also checks that d at even index 2l equals the classical Fibonacci
     number f(2l).  Refuses a top above GCD_CHECK_BOUND before any check;
-    the messages keep the name max_ell, which the CLI output pins.
+    the messages name the CLI's --max, which sets top.
     """
     if top < 2:
-        raise InvalidWordError(f"max_ell must be >= 2, got {top}")
+        raise InvalidWordError(f"--max must be >= 2, got {top}")
     if top > GCD_CHECK_BOUND:
-        raise ResourceBoundError(f"max_ell={top} exceeds gcd-check bound {GCD_CHECK_BOUND}")
+        raise ResourceBoundError(f"--max={top} exceeds gcd-check bound {GCD_CHECK_BOUND}")
     pairs = tuple(
         GcdCheck(m, n, gcd(d_value(m), d_value(n)), d_value(gcd(m, n)))
         for m in range(2, top + 1)

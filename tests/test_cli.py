@@ -134,6 +134,9 @@ def test_orderq_subcommands(capsys):
     code, out, _ = run_cli(capsys, "orderq", "--q", "2", "--verify")
     assert code == 0
     assert all(r["status"] == "pass" for r in parse_records(out, "tsv"))
+    # canonical length 60: the q^2 words are bounded, not their length
+    code, out, _ = run_cli(capsys, "orderq", "--q", "10", "--elements")
+    assert code == 0 and len(parse_records(out, "tsv")) == 100
 
 
 def test_types_and_fibword(capsys):
@@ -264,8 +267,9 @@ def test_gcd_check_bound(capsys):
     assert run_cli(capsys, "gcd-check", "--max", "201") == (
         3,
         "",
-        "error: max_ell=201 exceeds gcd-check bound 200\n",
+        "error: --max=201 exceeds gcd-check bound 200\n",
     )
+    assert run_cli(capsys, "gcd-check", "--max", "1") == (2, "", "error: --max must be >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("base", ["1", "0", "-3"])
@@ -367,12 +371,18 @@ def test_fibword_bound(capsys):
         (["group", "--ell", "1", "--count"], "ell=1 exceeds enumeration bound 0"),
         (["types", "--ell", "1", "--partition"], "ell=1 exceeds enumeration bound 0"),
         (["wheel", "--ell", "1", "--trees"], "ell=1 exceeds enumeration bound 0"),
-        (["orderq", "--q", "2", "--elements"], "canonical length 6 for q=2 exceeds enumeration bound 2*0"),
         (["fibword", "--ell", "3", "--partition"], "ell=3 exceeds enumeration bound 0"),
     ],
 )
 def test_zero_max_ell_is_a_bound(capsys, argv, message):
     assert run_cli(capsys, "--max-ell", "0", *argv) == (3, "", f"error: {message}\n")
+
+
+def test_max_ell_does_not_bound_orderq(capsys):
+    # --max-ell bounds --ell alone; orderq has no --ell
+    expected = run_cli(capsys, "orderq", "--q", "2", "--elements")
+    assert expected[0] == 0
+    assert run_cli(capsys, "--max-ell", "0", "orderq", "--q", "2", "--elements") == expected
 
 
 @pytest.mark.parametrize(
@@ -384,7 +394,6 @@ def test_zero_max_ell_is_a_bound(capsys, argv, message):
         (["wheel", "--ell", "11", "--count"], "ell=11 exceeds enumeration bound 10"),
         (["wheel", "--ell", "11", "--trees"], "ell=11 exceeds enumeration bound 10"),
         (["wheel", "--ell", "11", "--map"], "ell=11 exceeds enumeration bound 10"),
-        (["orderq", "--q", "10", "--elements"], "canonical length 60 for q=10 exceeds enumeration bound 2*12"),
     ],
 )
 def test_no_max_ell_refuses_at_the_library_default(capsys, argv, message):
@@ -707,7 +716,10 @@ def test_orderq_verify_bound_comes_before_the_multiples(capsys, monkeypatch):
         raise AssertionError(f"checked the multiples of a length-{len(w)} word")
 
     monkeypatch.setattr(orderq, "multiples_match", no_check)
-    message = "error: canonical length 1996 for q=997 exceeds enumeration bound 2*12\n"
+    message = (
+        "error: q=997 needs 994009 words of length 1996, "
+        "past the order-q group ceiling of 1000000 digits\n"
+    )
     assert run_cli(capsys, "orderq", "--q", "997", "--verify") == (3, "", message)
 
 

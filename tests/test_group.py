@@ -450,10 +450,10 @@ def test_gcd_property_report():
     assert lookup[(6, 3)].lhs == 4 and lookup[(6, 3)].rhs == 4
     assert lookup[(6, 4)].lhs == 1 and lookup[(6, 4)].rhs == 1
     assert any(c.m == 6 and c.lhs == 8 and c.rhs == 8 for c in report.even_index_checks)
-    with pytest.raises(InvalidWordError):
+    with pytest.raises(InvalidWordError, match="^--max must be >= 2, got 1$"):
         gcd_property_report(1)
     assert gcd_property_report(200).ok
-    with pytest.raises(ResourceBoundError, match="^max_ell=201 exceeds gcd-check bound 200$"):
+    with pytest.raises(ResourceBoundError, match="^--max=201 exceeds gcd-check bound 200$"):
         gcd_property_report(201)
 
 

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, a
 one-shot command loads only the modules it runs, the engine modules hold no
 code that only ``verify`` runs, no library function of ``group``,
-``typology`` or ``wheels`` takes the CLI's ``max_ell``, and no module loads
-``dataclasses``, whose import pulls in ``inspect``, ``ast`` and ``dis``."""
+``typology``, ``wheels`` or ``orderq`` takes the CLI's ``max_ell``, and no
+module loads ``dataclasses``, whose import pulls in ``inspect``, ``ast`` and
+``dis``."""
 
 import ast
 import json
@@ -225,8 +226,8 @@ def test_functions_taking_are_found():
     assert sorted(functions_taking(source, "max_ell")) == ["<lambda>", "f", "g", "m"]
 
 
-@pytest.mark.parametrize("stem", ["group", "typology", "wheels"])
+@pytest.mark.parametrize("stem", ["group", "typology", "wheels", "orderq"])
 def test_the_enumeration_bound_is_the_clis_alone(stem):
     # --max-ell is checked once, in cli.dispatch; these modules keep only
-    # their fixed ceilings (orderq's p_group keeps its own bound)
+    # their fixed ceilings
     assert functions_taking((SRC / f"{stem}.py").read_text(), "max_ell") == []

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -161,11 +162,35 @@ def test_p_group_matches_enumeration_oracle():
         assert [e.primitive for e in got] == [primitive_period(w) for w in expected], q
 
 
-def test_p_group_resource_bound():
-    with pytest.raises(ResourceBoundError):
-        p_group(10)  # canonical length 60 exceeds any desk-scale bound
-    with pytest.raises(ResourceBoundError):
-        p_group(5, max_ell=9)
+def test_p_group_resource_bound(monkeypatch):
+    # the ceiling on q^2 words of n digits is refused before any decode:
+    # q = 78 (n = 168, 1,022,112 digits) is the least q past it, and
+    # q = 90 (n = 120, 972,000 digits) the largest under it
+    def no_decode(*args):
+        raise AssertionError("decoded a word past the ceiling")
+
+    monkeypatch.setattr(orderq, "decode_pair", no_decode)
+    for q, n in ((997, 1996), (78, 168)):
+        message = f"q={q} needs {q * q} words of length {n}, past the order-q group ceiling of 1000000 digits"
+        with pytest.raises(ResourceBoundError, match=f"^{message}$"):
+            p_group(q)
+    monkeypatch.undo()
+    assert len(p_group(10)) == 100
+    assert len(p_group(90)) == 8100
+
+
+def test_p_group_ceiling_keeps_every_short_canonical_length():
+    # the canonical length of q is at most 24 exactly when q divides
+    # F(n) - 1 and F(n-1) - 1 for an even n <= 24, so these q are the
+    # divisors of those gcds; the ceiling takes all of them
+    qs = set()
+    for n in range(2, 25, 2):
+        g = gcd(fib(n) - 1, fib(n - 1) - 1)
+        qs.update(q for q in range(2, g + 1) if g % q == 0)
+    assert len(qs) == 24 and max(qs) == 199
+    for q in qs:
+        n = minimal_even_length(q)
+        assert n <= 24 and q * q * n <= orderq.P_GROUP_CEILING, q
 
 
 def test_p_group_scans_for_the_canonical_length_once(monkeypatch):
@@ -225,14 +250,19 @@ def test_pi_subgroup_index_reported():
 def closure_index(q, pi, pi_prime):
     # the span of the pair as the closure of the q^2 sums i*P + j*P'
     span = {add(scalar_mul(i, pi), scalar_mul(j, pi_prime)) for i in range(q) for j in range(q)}
-    return len(p_group(q, max_ell=minimal_even_length(q) // 2)) // len(span)
+    return len(p_group(q)) // len(span)
 
 
 def test_pi_subgroup_index_matches_closure():
-    # q = 10's canonical length, 60, is above p_group's default bound, which
-    # the index, read off the lattice, does not meet
+    # q = 10's canonical length, 60, is far past what enumeration reaches;
+    # p_group and the index both come from the lattice
     for q in (*range(2, 8), 10):
         assert pi_subgroup_index(q) == closure_index(q, *pi_words(q)), q
+
+
+def test_pi_pair_generates_up_to_200():
+    # the index needs no decode, so every q in 2..200 is cheap
+    assert [q for q in range(2, 201) if pi_subgroup_index(q) != 1] == []
 
 
 def test_pi_subgroup_index_matches_closure_on_every_pair(monkeypatch):
