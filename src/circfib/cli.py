@@ -34,8 +34,9 @@ from .rewrite import normalize, orbit
 
 Record = dict[str, object]
 
-# --max-ell's default: the group, types, fibword and wheel commands refuse a
-# larger --ell, the only thing --max-ell bounds
+# --max-ell's default for the group, types, fibword and wheel commands, which
+# refuse a larger --ell; verify takes --max-ell as the depth of its ell rows,
+# with its own default
 DEFAULT_ENUM_BOUND = 10
 
 
@@ -220,8 +221,8 @@ def dispatch(args) -> tuple[list[Record], int]:
             return [{"q": args.q, "pi": pi, "pi_prime": pi_prime}], 0
         if args.elements:
             return [
-                {"element": e.word, "primitive_period": e.primitive}
-                for e in orderq.p_group(args.q)
+                {"element": w, "primitive_period": orderq.primitive_period(w)}
+                for w in orderq.p_group(args.q)
             ], 0
         report = orderq.verify_pi_multiples(args.q)
         records = [
@@ -290,7 +291,7 @@ def dispatch(args) -> tuple[list[Record], int]:
         return [
             {
                 "ell": args.ell,
-                "tree_words": report.tree_word_count,
+                "tree_words": len(report.tree_words),
                 "group_order": report.group_order,
                 "identity_fiber": report.identity_fiber,
                 "status": report.bijective,
@@ -325,7 +326,7 @@ def dispatch(args) -> tuple[list[Record], int]:
         # only the bounds given: the defaults live in run_verify alone
         bounds = {k: v for k in ("max_ell", "max_q") if (v := getattr(args, k)) is not None}
         report = verify.run_verify(**bounds)
-        return [c._asdict() for c in report.claims], report.exit_code()
+        return [c._asdict() for c in report.claims], 0 if report.ok else 1
 
     raise CircfibError(f"unknown command {args.command!r}")
 

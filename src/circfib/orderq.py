@@ -1,9 +1,9 @@
 """Admissible circular words of order dividing q.
 
 For q >= 2 these form a group isomorphic to Z/q x Z/q once words are
-identified with their repetitions.  Elements are materialized at the single
-canonical length n = minimal_even_length(q), with the primitive period
-stored alongside to realize the repetition identification.
+identified with their repetitions.  Elements are materialized as words at the
+single canonical length n = minimal_even_length(q); ``primitive_period``
+realizes the repetition identification where a period is printed.
 
 The elements are built from the lattice rather than found by search: the
 group at length n is Z[phi] modulo the lattice spanned by nu = phi^n - 1
@@ -65,13 +65,6 @@ def pi_words(q: int) -> tuple[Word, Word]:
     return zeckendorf(num // q, n), zeckendorf(num_prime // q, n)
 
 
-class PeriodicElement(NamedTuple):
-    """A group element of order dividing q, at the canonical length."""
-
-    word: Word
-    primitive: Word
-
-
 def primitive_period(u) -> Word:
     """Shortest word whose literal repetition equals the input."""
     w = as_word(u)
@@ -81,8 +74,8 @@ def primitive_period(u) -> Word:
             return w[:p]
 
 
-def p_group(q: int) -> list[PeriodicElement]:
-    """All elements of the canonical-length group whose order divides q.
+def p_group(q: int) -> list[Word]:
+    """The words of the canonical-length group whose order divides q, sorted.
 
     Built from the lattice (``_p_group_cached``) at the canonical length n,
     found once here; refused before any decode when its q^2 words of n
@@ -98,9 +91,9 @@ def p_group(q: int) -> list[PeriodicElement]:
 # No cache (maxsize=0): a process asks for one q once.  An lru_cache only
 # because perfbench's tracer reads its cache_info() counters.
 @lru_cache(maxsize=0)
-def _p_group_cached(q: int, n: int) -> tuple[PeriodicElement, ...]:
-    """Elements of order dividing q at its canonical length n (which
-    ``p_group`` has found and bounded), in lexicographic word order.
+def _p_group_cached(q: int, n: int) -> tuple[Word, ...]:
+    """The words of order dividing q at its canonical length n (which
+    ``p_group`` has found and bounded), in lexicographic order.
 
     Decodes the residues (a*nu + b*nu*phi) / q for 0 <= a, b < q.  They are
     integral because F(n) and F(n-1) are 1 mod q at the canonical length,
@@ -113,10 +106,9 @@ def _p_group_cached(q: int, n: int) -> tuple[PeriodicElement, ...]:
     nu_x, nu_y = _modulus_pair(n)
     assert nu_x % q == 0 and nu_y % q == 0
     step = (nu_x // q, nu_y // q)
-    words = sorted(
-        decode_pair(*_pair_mul((a, b), step), n) for a in range(q) for b in range(q)
+    return tuple(
+        sorted(decode_pair(*_pair_mul((a, b), step), n) for a in range(q) for b in range(q))
     )
-    return tuple(PeriodicElement(w, primitive_period(w)) for w in words)
 
 
 def oplus(u, v) -> Word:
@@ -194,7 +186,7 @@ def verify_pi_multiples(q: int) -> PiMultiplesReport:
     elements = p_group(q)
     pi, pi_prime = pi_words(q)
     multiples_ok = multiples_match(pi, q) and multiples_match(pi_prime, q)
-    satisfiers = tuple(e.word for e in elements if multiples_match(e.word, q))
+    satisfiers = tuple(w for w in elements if multiples_match(w, q))
     return PiMultiplesReport(
         pi=pi,
         pi_prime=pi_prime,

@@ -105,14 +105,12 @@ def classify(u) -> str:
 
 
 class ImageSetComparison(NamedTuple):
-    tag: str
+    """A class's valuation image next to its closed-form set, under the
+    class's tag in ``image_sets``; offset 0 means the two sets are equal."""
+
     computed: frozenset[int]
     formula: frozenset[int]
     offset: int | None  # constant c with computed == {f + c}, if one exists
-
-    @property
-    def exact(self) -> bool:
-        return self.computed == self.formula
 
 
 def _prefix_counts(upto: int) -> list[tuple[int, int]]:
@@ -143,7 +141,8 @@ def image_sets(classes: dict[str, frozenset[Word]]) -> dict[str, ImageSetCompari
     prefix's counts serve all three.  F(2l-5) is read as F(2l-3) - F(2l-4),
     which ``fib`` defines down to l = 1 (an empty T11 range).  A shift that
     maps one finite set onto another maps its minimum to the other's
-    minimum, so the only candidate offset is the difference of the minima.
+    minimum, so the only candidate offset is the difference of the minima,
+    and it is 0 exactly when the sets are equal (two empty sets included).
     """
     ell = len(next(iter(classes[T01]))) // 2  # T01 always holds (01)^l
     main_counts = _prefix_counts(fib(2 * ell - 2))
@@ -160,7 +159,7 @@ def image_sets(classes: dict[str, frozenset[Word]]) -> dict[str, ImageSetCompari
         form = frozenset(formula[tag])
         c = min(comp) - min(form) if comp and form else 0
         offset = c if comp == frozenset(f + c for f in form) else None
-        out[tag] = ImageSetComparison(tag, comp, form, offset)
+        out[tag] = ImageSetComparison(comp, form, offset)
     return out
 
 

@@ -187,17 +187,13 @@ class IdentityFiberReport(NamedTuple):
     fiber_sizes: dict[Word, int]
 
     @property
-    def tree_word_count(self) -> int:
-        return len(self.tree_words)
-
-    @property
     def identity_fiber(self) -> int:
         return self.fiber_sizes.get(identity(self.ell), 0)
 
     @property
     def bijective(self) -> bool:
         return (
-            self.tree_word_count == self.group_order
+            len(self.tree_words) == self.group_order
             and all(v == 1 for v in self.fiber_sizes.values())
         )
 

@@ -119,7 +119,6 @@ def test_criterion_12_balanced_property():
 def test_full_report_aggregation():
     report = verify.run_verify(max_ell=4, max_q=4)
     assert report.ok
-    assert report.exit_code() == 0
     assert all(c.status in (verify.PASS, verify.DISCREPANCY) for c in report.claims)
 
 
@@ -157,7 +156,6 @@ def test_negative_control_corrupted_d_formula(monkeypatch):
     monkeypatch.setattr(group, "d_value", corrupted)
     report = verify.run_verify(max_ell=5, max_q=2)
     assert not report.ok
-    assert report.exit_code() == 1
     assert [c.detail for c in report.failures if c.criterion == "2"] == [
         "certified (11, 11), predicted (12, 12)"
     ]
@@ -466,7 +464,7 @@ def test_taxonomy_collision_is_reported(monkeypatch):
             "WheelTree(ell=3, spokes=frozenset({1, 2}), rims=frozenset({0}))",
         ),
     ]
-    assert report.exit_code() == 1
+    assert not report.ok
     assert [c.subject for c in report.failures] == [
         "taxonomy bijective ell<=4",
         "transported group laws ell<=3",

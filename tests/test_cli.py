@@ -463,6 +463,22 @@ def test_verify_passes_only_the_bounds_given(capsys, monkeypatch, argv, bounds):
     assert calls == [((), bounds)]
 
 
+def test_verify_exits_1_on_a_failed_claim(capsys, monkeypatch):
+    # a discrepancy is printed but does not fail the run; a failed claim does
+    claims = [
+        verify.Claim("8", "T01 image set ell=2", verify.DISCREPANCY, "constant offset +1"),
+        verify.Claim("1", "order ell=1", verify.FAIL, "computed 2"),
+    ]
+    lines = [
+        "criterion\tsubject\tstatus\tdetail\n",
+        "8\tT01 image set ell=2\tdiscrepancy\tconstant offset +1\n",
+        "1\torder ell=1\tfail\tcomputed 2\n",
+    ]
+    for count, code in ((1, 0), (2, 1)):
+        monkeypatch.setattr(verify, "run_verify", lambda: verify.VerificationReport(claims[:count]))
+        assert run_cli(capsys, "verify") == (code, "".join(lines[: count + 1]), "")
+
+
 @pytest.mark.parametrize("argv, caps", [([], {}), (["--cap", "5"], {"size_cap": 5})])
 def test_orbit_passes_only_the_cap_given(capsys, monkeypatch, argv, caps):
     # without --cap, rewrite.orbit's own default holds
@@ -721,6 +737,20 @@ def test_orderq_verify_bound_comes_before_the_multiples(capsys, monkeypatch):
         "past the order-q group ceiling of 1000000 digits\n"
     )
     assert run_cli(capsys, "orderq", "--q", "997", "--verify") == (3, "", message)
+
+
+# stdout of `orderq --q 90 --elements`, the largest q under the order-q
+# group ceiling: 8,100 words of length 120 with their primitive periods
+ORDERQ_90_SHA256 = {
+    "tsv": "91801058481339a65a2d9f55d42b1732f8845ec333b205edf4118b8b4baab4ca",
+    "jsonlines": "35d8614ea31653c9362bc5f53140bf84f8a2d25a59e1ab6e266c2b28b01112f4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ORDERQ_90_SHA256))
+def test_orderq_elements_digest(capsys, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, "orderq", "--q", "90", "--elements")
+    assert (code, _sha256(out), err) == (0, ORDERQ_90_SHA256[fmt], "")
 
 
 # stdout, stderr and exit code of invocations of every command and mode,

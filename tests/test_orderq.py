@@ -105,9 +105,9 @@ def multiples_match_by_add(w, q):
 def test_multiples_match_matches_iterated_add():
     for q in range(2, 7):
         outcomes = {}
-        for e in p_group(q):
-            outcomes[e.word] = multiples_match(e.word, q)
-            assert outcomes[e.word] == multiples_match_by_add(e.word, q), (q, e.word)
+        for w in p_group(q):
+            outcomes[w] = multiples_match(w, q)
+            assert outcomes[w] == multiples_match_by_add(w, q), (q, w)
         # both outcomes occur: the distinguished pair matches, others do not
         assert {w for w, ok in outcomes.items() if ok} == set(pi_words(q)), q
 
@@ -143,7 +143,7 @@ def test_p_group_members():
                 acc = add(acc, w)
             if acc == ident:
                 expected.append(w)
-        assert [e.word for e in p_group(q)] == expected, q
+        assert p_group(q) == expected, q
         assert ident in expected
 
 
@@ -158,8 +158,8 @@ def test_p_group_matches_enumeration_oracle():
             if span_order(n, (q * x, q * y)) == 1:
                 expected.append(w)
         got = p_group(q)
-        assert [e.word for e in got] == expected, q
-        assert [e.primitive for e in got] == [primitive_period(w) for w in expected], q
+        assert got == expected, q
+        assert [primitive_period(w) for w in got] == [primitive_period(w) for w in expected], q
 
 
 def test_p_group_resource_bound(monkeypatch):
@@ -234,9 +234,10 @@ def test_primitive_period():
 
 
 def test_p_group_primitive_periods_divide_length():
-    for e in p_group(4):
-        assert len(e.word) % len(e.primitive) == 0
-        assert e.word == e.primitive * (len(e.word) // len(e.primitive))
+    for w in p_group(4):
+        period = primitive_period(w)
+        assert len(w) % len(period) == 0
+        assert w == period * (len(w) // len(period))
 
 
 def test_pi_subgroup_index_reported():
@@ -269,7 +270,7 @@ def test_pi_subgroup_index_matches_closure_on_every_pair(monkeypatch):
     # every real distinguished pair generates (index 1), so the pair is
     # replaced by each pair of order-4 elements to meet non-trivial
     # intersections of the two cyclic subgroups
-    elements = [e.word for e in p_group(4)]
+    elements = p_group(4)
     indices = set()
     for pair in itertools.product(elements, repeat=2):
         monkeypatch.setattr(orderq, "pi_words", lambda q: pair)

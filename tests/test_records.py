@@ -8,7 +8,7 @@ import pytest
 from circfib.baseb import BaseBWord, CyclicGroupReport
 from circfib.errors import InvalidWordError
 from circfib.group import GcdCheck, GcdPropertyReport, GroupStructure
-from circfib.orderq import PeriodicElement, PiMultiplesReport
+from circfib.orderq import PiMultiplesReport
 from circfib.rewrite import Move, OrbitResult
 from circfib.typology import ImageSetComparison, PartitionBlock
 from circfib.verify import Claim, VerificationReport
@@ -38,11 +38,6 @@ RECORDS = {
         "GcdPropertyReport(pair_checks=(GcdCheck(m=2, n=2, lhs=1, rhs=1),), even_index_checks=())",
         True,
     ),
-    "PeriodicElement": (
-        lambda: PeriodicElement((0, 1, 0, 1), (0, 1)),
-        "PeriodicElement(word=(0, 1, 0, 1), primitive=(0, 1))",
-        True,
-    ),
     "PiMultiplesReport": (
         lambda: PiMultiplesReport((1, 0), (0, 1), True, False, ((1, 0),)),
         "PiMultiplesReport(pi=(1, 0), pi_prime=(0, 1), multiples_match=True, "
@@ -50,8 +45,8 @@ RECORDS = {
         True,
     ),
     "ImageSetComparison": (
-        lambda: ImageSetComparison("T11", frozenset({7}), frozenset({5}), 2),
-        "ImageSetComparison(tag='T11', computed=frozenset({7}), formula=frozenset({5}), offset=2)",
+        lambda: ImageSetComparison(frozenset({7}), frozenset({5}), 2),
+        "ImageSetComparison(computed=frozenset({7}), formula=frozenset({5}), offset=2)",
         True,
     ),
     "PartitionBlock": (

@@ -114,7 +114,7 @@ def test_image_sets_ell2_values():
     sets = image_sets(type_classes(2))
     assert sets[T10].computed == frozenset({1, 3, 4})
     assert sets[T10].formula == frozenset({1, 3, 4})
-    assert sets[T10].exact and sets[T10].offset == 0
+    assert sets[T10].offset == 0
     assert sets[T01].computed == frozenset({2, 5, 7})
     assert sets[T01].formula == frozenset({1, 4, 6})
     assert sets[T01].offset == 1
@@ -124,9 +124,11 @@ def test_image_sets_ell2_values():
 def test_image_set_offsets_stable():
     for ell in range(2, 6):
         sets = image_sets(type_classes(ell))
-        assert sets[T10].exact, ell
+        assert sets[T10].offset == 0, ell
         assert sets[T01].offset == 1, ell
         assert sets[T11].offset == 0, ell  # exact wherever nonempty
+        # the offset rule: 0 exactly when the two sets are equal
+        assert all((c.offset == 0) == (c.computed == c.formula) for c in sets.values()), ell
 
 
 def test_type_classes_classify_each_element():

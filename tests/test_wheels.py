@@ -134,7 +134,7 @@ def test_identity_fiber_report():
         report = identity_fiber_report(ell)
         assert report.bijective
         assert report.identity_fiber == 1
-        assert report.tree_word_count == report.group_order
+        assert len(report.tree_words) == report.group_order
 
 
 def test_tree_add_identity_and_inverse():
