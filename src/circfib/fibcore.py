@@ -90,8 +90,14 @@ def _digits(digits) -> bytes | Word:
 
 
 def phi_pair(word) -> tuple[int, int]:
-    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi, by
-    Horner's rule from the top digit: phi*(x + y*phi) = y + (x + y)*phi."""
+    """Exact pair (x, y) with sum of digit * phi^index == x + y*phi.
+
+    A ``bytes`` word of at least ``_SLICED_FROM`` digits is read by
+    ``_sliced_pair``; any other word by Horner's rule from the top digit:
+    phi*(x + y*phi) = y + (x + y)*phi.
+    """
+    if isinstance(word, bytes) and len(word) >= _SLICED_FROM:
+        return _sliced_pair(word)
     x = y = 0
     # any iterable of ints; callers validate, and tuples and bytes are read in place
     for d in reversed(word if isinstance(word, (tuple, bytes)) else tuple(word)):
@@ -99,11 +105,82 @@ def phi_pair(word) -> tuple[int, int]:
     return x, y
 
 
+# The length from which ``_sliced_pair`` beats Horner's loop on bytes of any
+# digit width (the two cross near 96 digits on CPython 3.11).
+_SLICED_FROM = 128
+
+
+def _sliced_pair(w: bytes) -> tuple[int, int]:
+    """``phi_pair`` of a bytes word, with every 8-digit slot evaluated at once.
+
+    The digits are packed into one int at s = 1, 2 or 8 bits each, the
+    least width that holds the largest.  Eight Horner steps run on all
+    slots of 8 digits together, each slot 8*s bits wide; then each round
+    merges neighbouring slots as low + phi^span * high, doubling the slot
+    width, until one slot holds the whole word.
+
+    No slot spills into the next in any round.  A slot holds a chunk of N
+    digits, each at most m < 2^s, in s*N bits.  The chunk's pair is
+    sum d_j * phi^j with phi^j = f(j-1) + f(j)*phi (classical f, f(-1) = 1),
+    so its components are at most m*f(N) and m*(f(N+1) - 1): 21*m and
+    33*m at N = 8.  With f(N+1) <= phi^N < 2^(0.7*N), both are below
+    2^(s + 0.7*N) <= 2^(s*N) once N*(s - 0.7) >= s, which holds at N >= 8
+    for every s >= 1.  Horner's partial pairs are pairs of shorter chunks,
+    and every term of a merge is nonnegative and at most the merged pair,
+    so nothing in between is larger; digits past the end of the word are
+    zeros, which change no bound.
+    """
+    if not w.translate(None, b"\x00\x01"):
+        s, packed = 1, int(w[::-1].translate(_DIGIT_TEXT), 2)
+    elif not w.translate(None, b"\x00\x01\x02\x03"):
+        s, packed = 2, int(w[::-1].translate(_DIGIT_TEXT), 4)
+    else:
+        s, packed = 8, int.from_bytes(w, "little")
+    digit_mask, rounds = _slice_plan(len(w), s)
+    x = y = 0
+    for shift in range(7 * s, -1, -s):
+        x, y = y + ((packed >> shift) & digit_mask), x + y
+    for width, low, a, b in rounds:
+        xh, yh = (x >> width) & low, (y >> width) & low
+        x, y = (x & low) + a * xh + b * yh, (y & low) + b * xh + (a + b) * yh
+    return x, y
+
+
+def _slot_mask(stride: int, slots: int, width: int) -> int:
+    """The low ``width`` bits of each of ``slots`` slots ``stride`` bits
+    apart, stride a multiple of 8, as one bytes repeat: the closed form
+    ((1 << stride*k) - 1) // ((1 << stride) - 1) * ((1 << width) - 1)
+    divides by numbers as wide as the word, which took 1.4 s for the plan
+    of 10^5 digits of width 8."""
+    return int.from_bytes(((1 << width) - 1).to_bytes(stride // 8, "little") * slots, "little")
+
+
+# At most 8 entries.  An entry for n digits of s bits holds about
+# n*s*(log2(n/8) + 1) bits, 8 KB at n = 1000 and 1.6 MB at n = 10^5 with
+# s = 8, so the cache holds at most 13 MB while words stay within
+# FIB_CEILING, the longest that normalize accepts.
+@lru_cache(maxsize=8)
+def _slice_plan(n: int, s: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """For ``_sliced_pair`` on n digits of s bits: the mask of each slot's
+    lowest digit, and per merge round the slot width in bits, the mask of
+    the low slot of each merged pair, and phi^span as (a, b) = a + b*phi."""
+    slots = -(-n // 8)
+    digit_mask = _slot_mask(8 * s, slots, s)
+    width, a, b = 8 * s, 13, 21  # phi^8 = 13 + 21*phi
+    rounds = []
+    while slots > 1:
+        slots = -(-slots // 2)
+        rounds.append((width, _slot_mask(2 * width, slots, width), a, b))
+        a, b = a * a + b * b, 2 * a * b + b * b  # (a + b*phi)^2, as phi^2 = 1 + phi
+        width *= 2
+    return digit_mask, tuple(rounds)
+
+
 def valuation(word) -> int:
     """Sum of digit * F(index) over the word, read positionally: x + 2y of
     its ``phi_pair`` (x, y), as phi^i = F(i-3) + F(i-2)*phi and F(i) =
     F(i-3) + 2*F(i-2)."""
-    x, y = phi_pair(as_word(word))
+    x, y = phi_pair(_digits(word))
     return x + 2 * y
 
 

@@ -104,6 +104,33 @@ def test_pair_codec_matches_fibonacci_oracles(digits, form):
     assert value == x + 2 * y
 
 
+@st.composite
+def _bytes_words(draw):
+    # digits up to each side of the 1-, 2- and 8-bit packings (2 is the top
+    # of the sums that add builds), on both sides of the length from which
+    # phi_pair takes the sliced route
+    top = draw(st.sampled_from([1, 2, 3, 4, 255]))
+    length = draw(st.integers(1, 4 * fibcore._SLICED_FROM))
+    return bytes(b % (top + 1) for b in draw(st.binary(min_size=length, max_size=length)))
+
+
+@given(_bytes_words())
+@settings(deadline=None)
+@example(b"\x01" * (fibcore._SLICED_FROM - 1))
+@example(b"\x03" * fibcore._SLICED_FROM)
+@example(b"\xff" * (fibcore._SLICED_FROM + 3))
+@example(b"\x02\x00\x01" * 67)
+@example(b"\x04\x03" * 99)
+@example(b"\x03\x02" * 2501)  # base-4 text past the 4,300-digit int() limit of Python 3.11+
+@example(bytes(i % 3 % 2 for i in range(10**5)))  # and base-2 text
+def test_pair_codec_bytes_routes(word):
+    # Horner's loop on the tuple is the reference; the test above checks it
+    # against the Fibonacci oracles
+    x, y = phi_pair(word)
+    assert (x, y) == phi_pair(tuple(word))
+    assert valuation(word) == x + 2 * y
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
