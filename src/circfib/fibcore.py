@@ -10,7 +10,10 @@ Conventions used throughout the package:
   character of the text form and the least significant position: "0010" has
   value F2 = 3.  Inside the engine, a word whose digits are all 0..255 is
   carried as the ``bytes`` object that checked it (``_digits``), with the
-  same indices; every public function returns tuples.
+  same indices, and any other word as a tuple of ints, checked in C by
+  ``array("Q")`` when every digit has ``__index__`` and lies in
+  0..2^64 - 1, and by one ``int()`` per digit otherwise; every public
+  function returns tuples.
 * A circular word is an ordinary digit word read cyclically (indices mod the
   length) with a fixed origin.  Equality is positional: "1000" and "0001"
   are distinct circular words even though they are rotations of each other.
@@ -66,15 +69,27 @@ def _digits(digits) -> bytes | Word:
     """The checked digits of a word, in the form the engine reads.
 
     Digits 0..255 are checked and converted in C by ``bytes``, and the
-    ``bytes`` object itself is returned; any other digit (above 255,
-    negative, a str or a float) takes the per-digit ``int`` path, which
-    returns a tuple of ints, with the same errors.  A number that ``int``
-    would truncate, such as 1.5 or Fraction(3, 2), is refused.
+    ``bytes`` object itself is returned.  Failing that, a word whose digits
+    all have ``__index__`` and lie in 0..2^64 - 1 is checked and converted
+    in C by ``array("Q")``, which reads each digit as ``operator.index``
+    does, and comes back as a tuple of ints; this agrees with ``int()`` for
+    every digit type whose ``__int__`` and ``__index__`` agree.  Any other
+    word (one with a negative digit, a digit of 2^64 or more, a str, a
+    float or a Fraction) takes the per-digit ``int`` path, which returns a
+    tuple of ints, with the same errors.  A number that ``int`` would
+    truncate, such as 1.5 or Fraction(3, 2), is refused.
     """
     w = tuple(digits)
     try:
         b = bytes(w)
     except (TypeError, ValueError):
+        # array is a shared library, loaded only by words with a digit past 255
+        from array import array
+
+        try:
+            return tuple(array("Q", w))
+        except (TypeError, OverflowError):
+            pass
         digits, w = w, tuple(map(int, w))
         # int() parses text, and a number is a digit only when it equals its
         # int(); the per-digit scan runs only when the words differ

@@ -277,11 +277,11 @@ def _generator(digits):
     return (d for d in digits)
 
 
-# digits on both sides of the bytes() range 0..255, and the non-int digits
-# that int() converts or refuses
+# digits on both sides of the bytes() range 0..255 and of array("Q")'s
+# 0..2^64 - 1, and the non-int digits that int() converts or refuses
 _ODD_DIGIT = st.one_of(
     st.integers(min_value=-1, max_value=2),
-    st.sampled_from([254, 255, 256, 10**9]),
+    st.sampled_from([254, 255, 256, 10**9, 2**63, 2**64 - 1, 2**64]),
     st.booleans(),
     st.floats(min_value=-2, max_value=300, allow_nan=False),
     st.sampled_from(["0", "1", "12", "-1", "x"]),
@@ -318,6 +318,14 @@ _ODD_DIGIT = st.one_of(
 @example([Fraction(3, 2)], tuple)
 @example([Fraction(2, 1), 2.0, True, "3"], tuple)
 @example([0.9, "x"], tuple)
+@example([2**64 - 1, 0], tuple)
+@example([2**64, -1], tuple)
+@example([-1, 2**64], tuple)
+@example([True, 300], tuple)
+@example([300, 2.0], tuple)
+@example([300, Fraction(2, 1)], tuple)
+@example([300, "7"], tuple)
+@example([300, 1.5], tuple)
 @example("0101", lambda digits: digits)
 @example(b"\x01\x00", lambda digits: digits)
 @example(bytearray(b"\x00\x02"), lambda digits: digits)

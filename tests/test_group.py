@@ -89,7 +89,7 @@ def _add_before_bytes(u, v):
 
 
 # each word takes its digits from one set: 0/1, the carry-free bytes sum below
-# 128, bytes from 128 to 255, the int() path from 256 on, a mix with bools
+# 128, bytes from 128 to 255, the array("Q") path from 256 on, a mix with bools
 # and digit strings, or all zeros
 _ADD_DIGITS = (
     st.integers(min_value=0, max_value=1),

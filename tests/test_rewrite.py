@@ -23,10 +23,11 @@ from circfib.fibcore import (
     valuation,
     zeckendorf,
 )
-from circfib.group import canonical, decompose
+from circfib.group import add, canonical, decompose
 from circfib.rewrite import (
     Move,
     apply_move,
+    decode_pair,
     equivalent,
     normalize,
     orbit,
@@ -233,6 +234,46 @@ def test_normalize_idempotent(digits):
         return
     nf = normalize(w)
     assert normalize(nf) == nf
+
+
+def _horner_pair(digits):
+    """The Z[phi] pair of a word of ints by Horner's rule, read straight
+    from the digits, with none of the engine's checks or encodings."""
+    x = y = 0
+    for d in reversed(digits):
+        x, y = y + d, x + y
+    return x, y
+
+
+@st.composite
+def _wide_word_pairs(draw):
+    """Two words of one even length 2..300, digits 0..2 with one to three
+    wide ones each: below 2^64 the array("Q") route, 2^64 the int() route."""
+    n = 2 * draw(st.integers(min_value=1, max_value=150))
+    words = []
+    for _ in range(2):
+        digits = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+        for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)):
+            digits[i] = draw(st.sampled_from([256, 10**9, 2**64 - 1, 2**64]))
+        words.append(tuple(digits))
+    return tuple(words)
+
+
+@settings(deadline=None)
+@given(_wide_word_pairs())
+@example(((2**64 - 1, 0), (2**64, 1)))
+@example(((10**9,) + (0,) * (fibcore._SLICED_FROM - 3), (256,) * (fibcore._SLICED_FROM - 2)))
+@example(((0,) * (fibcore._SLICED_FROM - 1) + (2**64 - 1,), (2**64,) * fibcore._SLICED_FROM))
+def test_wide_digit_words_match_horner_oracle(words):
+    u, v = words
+    n = len(u)
+    (xu, yu), (xv, yv) = map(_horner_pair, words)
+    nu, nv = decode_pair(xu, yu, n), decode_pair(xv, yv, n)
+    assert normalize(u) == nu and normalize(v) == nv
+    assert valuation(u) == sum(d * fib(i) for i, d in enumerate(u))
+    assert add(u, v) == decode_pair(xu + xv, yu + yv, n)
+    assert equivalent(u, v) == (nu == nv)
+    assert equivalent(u, nu) and equivalent(nv, v)
 
 
 def test_uniqueness_scan_n6():
