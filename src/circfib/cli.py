@@ -136,11 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tree_bits(t, ell: int) -> Record:
-    """The spoke and rim sets of a spanning tree as 0/1 strings over the l indices."""
+# the text of a tree word's spoke bits, and of its inverted rim bits
+_SPOKE_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_RIM_TEXT = bytes.maketrans(b"\x00\x01", b"10")
+
+
+def _tree_bits(w) -> Record:
+    """The spoke and rim sets of a tree word as 0/1 strings over the l indices."""
+    w = bytes(w)
     return {
-        "spokes": "".join("1" if i in t.spokes else "0" for i in range(ell)),
-        "rims": "".join("1" if i in t.rims else "0" for i in range(ell)),
+        "spokes": w[0::2].translate(_SPOKE_TEXT).decode(),
+        "rims": w[1::2].translate(_RIM_TEXT).decode(),
     }
 
 
@@ -266,13 +272,10 @@ def dispatch(args) -> tuple[list[Record], int]:
             def tree_map():
                 from . import wheels  # only on a cache miss: a warm hit reads the file
 
-                records = []
-                for t in wheels.spanning_trees(args.ell):
-                    raw = wheels.tree_to_word(t)
-                    records.append(
-                        {**_tree_bits(t, args.ell), "raw_word": raw, "normal_form": normalize(raw)}
-                    )
-                return records
+                return [
+                    {**_tree_bits(w), "raw_word": w, "normal_form": normalize(w)}
+                    for w in wheels.tree_words(args.ell)
+                ]
 
             return _cached_records(args, "wheel-map", tree_map), 0
         from . import wheels
@@ -286,7 +289,7 @@ def dispatch(args) -> tuple[list[Record], int]:
                 }
             ], 0
         if args.trees:
-            return [_tree_bits(t, args.ell) for t in wheels.spanning_trees(args.ell)], 0
+            return [_tree_bits(w) for w in wheels.tree_words(args.ell)], 0
         report = wheels.identity_fiber_report(args.ell)
         return [
             {

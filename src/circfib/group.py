@@ -30,9 +30,9 @@ from .fibcore import Word, _digits, _is_admissible, classical_fib, fib, iter_adm
 from .rewrite import _normalize_word, decode_pair, span_order
 
 # A listing at ell holds about phi^(2l) entries, 2.6 times more per step:
-# at 12 (103,680 elements) `group --list` takes 0.4 s and `wheel --map` 4 s
-# and 234 MB (Python 3.11, 2 vCPU), so a larger ell is refused here, the
-# library's only bound on a listing (the CLI's --max-ell comes first).
+# at 12 (103,680 elements) `group --list` takes 0.4 s and `wheel --map`
+# 1.4 s and 118 MB (Python 3.11, 2 vCPU), so a larger ell is refused here,
+# the library's only bound on a listing (the CLI's --max-ell comes first).
 LISTING_CEILING = 12
 GCD_CHECK_BOUND = 200
 

@@ -7,17 +7,18 @@ would be a self-loop and is dropped from the graph (self-loops never occur
 in spanning trees); at l = 2 the two rim edges are parallel and are kept as
 distinguishable edges of a multigraph.
 
-A spanning tree encodes a circular word of length 2l: position 2i is 1 iff
-spoke i is in the tree, position 2i+1 is 0 iff rim edge i is in the tree
-(note the inversion on rim bits).  These raw words are exactly the nonzero
-binary circular words whose cyclic blocks of zeros all have even length,
-and normalizing them maps the spanning trees bijectively onto the group of
-parameter l, which transports the group law onto trees.
-``identity_fiber_report`` generates them directly, as the rotations of
-the tilings by 1 and 00 that start with 1, one word per group element,
-and keeps the set, so the characterization and the bijection are checked
-on the same words.  ``tree_add`` normalizes the sum of the two raw words
-once.
+A spanning tree is carried as its raw word, a circular word of length 2l:
+position 2i is 1 iff spoke i is in the tree, position 2i+1 is 0 iff rim
+edge i is in the tree (note the inversion on rim bits).  These raw words
+are exactly the nonzero binary circular words whose cyclic blocks of zeros
+all have even length, and normalizing them maps the spanning trees
+bijectively onto the group of parameter l, which transports the group law
+onto trees.  ``_tree_words`` generates them directly, as the rotations of
+the tilings by 1 and 00 that start with 1, one word per group element;
+the listings (``tree_words``, ``taxonomy_table``) and
+``identity_fiber_report`` read those words, and ``spanning_trees``, by
+union-find backtracking over the edges, is the oracle they are checked
+against.  ``tree_add`` normalizes the sum of the two raw words once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidWordError
-from .fibcore import Word
+from .fibcore import Word, format_word
 from .group import LISTING_CEILING, add, check_ceiling, decompose, identity
 from .rewrite import normalize
 
@@ -35,14 +36,6 @@ from .rewrite import normalize
 # about 2.6 times more per step in l: 0.07 s at l = 9, 0.2 s and 23 MB at
 # l = 10 (fresh processes, Python 3.11, 2-vCPU host)
 FIBER_SCAN_CEILING = 10
-
-
-class WheelTree(NamedTuple):
-    """A spanning tree of the l-wheel, as index sets of spokes and rim edges."""
-
-    ell: int
-    spokes: frozenset[int]
-    rims: frozenset[int]
 
 
 def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
@@ -61,8 +54,9 @@ def wheel_edges(ell: int) -> list[tuple[str, int, int, int]]:
     return edges
 
 
-def spanning_trees(ell: int) -> list[WheelTree]:
-    """All spanning trees, by backtracking with union-find acyclicity."""
+def spanning_trees(ell: int) -> list[Word]:
+    """The raw words of all spanning trees, by backtracking with union-find
+    acyclicity: the oracle for ``tree_words``, in the same order."""
     check_ceiling(ell, LISTING_CEILING, "listing")
     edges = wheel_edges(ell)
     need = ell  # a spanning tree of l+1 vertices has l edges
@@ -73,32 +67,27 @@ def spanning_trees(ell: int) -> list[WheelTree]:
             x = parent[x]
         return x
 
-    chosen: list[tuple[str, int]] = []
-    out: list[WheelTree] = []
+    word = [0, 1] * ell  # no edge chosen yet
+    out: list[Word] = []
 
-    def rec(idx: int):
-        if len(chosen) == need:
-            out.append(
-                WheelTree(
-                    ell,
-                    frozenset(i for kind, i in chosen if kind == "r"),
-                    frozenset(i for kind, i in chosen if kind == "s"),
-                )
-            )
+    def rec(idx: int, size: int):
+        if size == need:
+            out.append(tuple(word))
             return
-        if len(chosen) + (len(edges) - idx) < need:
+        if size + (len(edges) - idx) < need:
             return
         kind, i, a, b = edges[idx]
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-            chosen.append((kind, i))
-            rec(idx + 1)
-            chosen.pop()
+            bit = 2 * i + (kind == "s")
+            word[bit] ^= 1  # a chosen spoke reads 1, a chosen rim edge 0
+            rec(idx + 1, size + 1)
+            word[bit] ^= 1
             parent[ra] = ra
-        rec(idx + 1)
+        rec(idx + 1, size)
 
-    rec(0)
+    rec(0, 0)
     return out
 
 
@@ -132,50 +121,55 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return a[n - 1][n - 1]
 
 
-def tree_to_word(tree: WheelTree) -> Word:
-    """Raw taxonomy word: spoke bits at even positions, inverted rim bits at odd."""
-    w = []
-    for i in range(tree.ell):
-        w.append(1 if i in tree.spokes else 0)
-        w.append(0 if i in tree.rims else 1)
-    return tuple(w)
+# turns a word's rim bits into rim-inclusion bits
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def taxonomy(tree: WheelTree) -> Word:
-    """Group element of the tree: normal form of the raw taxonomy word."""
-    return normalize(tree_to_word(tree))
+def tree_words(ell: int) -> list[Word]:
+    """The raw words of all spanning trees, generated (``_tree_words``) and
+    listed in the order of ``spanning_trees``: descending by the spoke bits,
+    then by the rim-inclusion bits."""
+    if ell < 1:
+        raise InvalidWordError(f"ell must be >= 1, got {ell}")
+    check_ceiling(ell, LISTING_CEILING, "listing")
+    return sorted(
+        _tree_words(ell),
+        key=lambda w: bytes(w[0::2]) + bytes(w[1::2]).translate(_FLIP),
+        reverse=True,
+    )
 
 
 @lru_cache(maxsize=32)
-def taxonomy_table(ell: int) -> dict[Word, WheelTree]:
-    """Inverse of the taxonomy map, built by enumeration.
+def taxonomy_table(ell: int) -> dict[Word, Word]:
+    """Inverse of the taxonomy map, from each group element to its tree word.
 
     Raises if two trees normalize to the same element, which would falsify
     the bijection; the tables are cached per l.
     """
-    table: dict[Word, WheelTree] = {}
-    for tree in spanning_trees(ell):
-        element = taxonomy(tree)
+    table: dict[Word, Word] = {}
+    for tree in tree_words(ell):
+        element = normalize(tree)
         if element in table:
             raise InvalidWordError(
-                f"taxonomy collision at ell={ell}: {table[element]} and {tree}"
+                f"taxonomy collision at ell={ell}: "
+                f"{format_word(table[element])} and {format_word(tree)}"
             )
         table[element] = tree
     return table
 
 
-def tree_add(t1: WheelTree, t2: WheelTree) -> WheelTree:
+def tree_add(t1: Word, t2: Word) -> Word:
     """The group law transported onto spanning trees via the taxonomy; a raw
-    word has its tree's residue, so ``add`` of the raw words is the sum."""
-    if t1.ell != t2.ell:
-        raise InvalidWordError(f"wheel size mismatch: {t1.ell} vs {t2.ell}")
-    table = taxonomy_table(t1.ell)
-    return table[add(tree_to_word(t1), tree_to_word(t2))]
+    word has its tree's residue, so ``add`` of the raw words is the sum.
+    ``add`` refuses two words of different lengths."""
+    return taxonomy_table(len(t1) // 2)[add(t1, t2)]
 
 
-def star_tree(ell: int) -> WheelTree:
-    """The all-spokes tree; its taxonomy word is 1^(2l), the identity class."""
-    return WheelTree(ell, frozenset(range(ell)), frozenset())
+def star_tree(ell: int) -> Word:
+    """The all-spokes tree; its word 1^(2l) normalizes to the identity."""
+    if ell < 1:
+        raise InvalidWordError(f"ell must be >= 1, got {ell}")
+    return (1,) * (2 * ell)
 
 
 class IdentityFiberReport(NamedTuple):

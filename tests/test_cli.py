@@ -753,6 +753,30 @@ def test_orderq_elements_digest(capsys, fmt):
     assert (code, _sha256(out), err) == (0, ORDERQ_90_SHA256[fmt], "")
 
 
+# sha256 of the stdout of `wheel --ell 10 --trees` and `--map`, 15,125 trees each
+WHEEL_10_SHA256 = {
+    ("--trees", "tsv"): "0feb4dc2852da78d1d99278b5ff2047e26660c56df45c0233f223dc85ae9fac4",
+    ("--trees", "jsonlines"): "73d3787a3c918ce6e1f0fa4dc84d53b2176e6ca9e388a9f10fb5c67959b56fe9",
+    ("--map", "tsv"): "ea5d5fdcdfab2f7e15cda57f675406e11b5e442084fe90f5b45491a37542b113",
+    ("--map", "jsonlines"): "ce1775afa89e983377147e19280c938f888e6823f07a08ae3ed23f28b0110a38",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(WHEEL_10_SHA256))
+def test_wheel_listing_digests(capsys, mode, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, "wheel", "--ell", "10", mode)
+    assert (code, _sha256(out), err) == (0, WHEEL_10_SHA256[mode, fmt], "")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonlines"])
+def test_wheel_map_digest_cold_and_warm_cache(tmp_path, capsys, fmt):
+    argv = ["--format", fmt, "--cache-dir", str(tmp_path), "wheel", "--ell", "10", "--map"]
+    for _ in ("cold", "warm"):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, _sha256(out), err) == (0, WHEEL_10_SHA256["--map", fmt], "")
+    assert os.listdir(str(tmp_path)) == ["wheel-map_ell_10.tsv"]
+
+
 # stdout, stderr and exit code of invocations of every command and mode,
 # `verify` at its smallest bounds among them, including bound and input
 # errors; the arithmetic cases run at lengths 8 to 1000

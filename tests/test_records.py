@@ -12,7 +12,7 @@ from circfib.orderq import PiMultiplesReport
 from circfib.rewrite import Move, OrbitResult
 from circfib.typology import ImageSetComparison, PartitionBlock
 from circfib.verify import Claim, VerificationReport
-from circfib.wheels import IdentityFiberReport, WheelTree
+from circfib.wheels import IdentityFiberReport
 
 # (make a sample, its repr, whether it hashes); each sample holds at most one
 # element per set, so the reprs do not depend on set iteration order
@@ -52,11 +52,6 @@ RECORDS = {
     "PartitionBlock": (
         lambda: PartitionBlock(1, "bab", 1, 2),
         "PartitionBlock(index=1, block='bab', a_count=1, b_count=2)",
-        True,
-    ),
-    "WheelTree": (
-        lambda: WheelTree(2, frozenset({0}), frozenset()),
-        "WheelTree(ell=2, spokes=frozenset({0}), rims=frozenset())",
         True,
     ),
     "IdentityFiberReport": (

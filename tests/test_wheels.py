@@ -6,16 +6,15 @@ from circfib import wheels
 from circfib.errors import InvalidWordError, ResourceBoundError
 from circfib.fibcore import as_word, format_word, parse_word
 from circfib.group import add, enumerate_elements, identity
+from circfib.rewrite import normalize
 from circfib.wheels import (
-    WheelTree,
     count_trees_matrix,
     identity_fiber_report,
     spanning_trees,
     star_tree,
-    taxonomy,
     taxonomy_table,
     tree_add,
-    tree_to_word,
+    tree_words,
     wheel_edges,
 )
 
@@ -60,16 +59,38 @@ def test_spanning_tree_counts():
 
 
 def test_spanning_trees_are_trees():
+    # l edges each: the spokes read 1 at even positions, the rim edges 0 at odd
     for ell in (1, 2, 3, 4):
         for tree in spanning_trees(ell):
-            assert len(tree.spokes) + len(tree.rims) == ell
+            assert sum(tree[0::2]) + tree[1::2].count(0) == ell
+
+
+def test_generated_and_backtracked_trees_agree():
+    for ell in range(1, 11):
+        assert tree_words(ell) == spanning_trees(ell), ell
+
+
+def test_small_wheels_are_pinned():
+    # l = 1 has no rim edge, so its one tree leaves the rim bit at 1; with the
+    # two parallel rim edges of l = 2, each spoke and each rim make a tree
+    assert tree_words(1) == [(1, 1)]
+    assert [format_word(w) for w in tree_words(2)] == ["1111", "1001", "1100", "0011", "0110"]
+
+
+@pytest.mark.parametrize("make", [star_tree, tree_words])
+def test_trees_of_a_bad_ell_are_refused(make):
+    for ell in (0, -1):
+        with pytest.raises(InvalidWordError) as exc:
+            make(ell)
+        assert str(exc.value) == f"ell must be >= 1, got {ell}"
 
 
 def test_spanning_trees_bound():
     # --max-ell is the CLI's bound: the library refuses only past the listing ceiling
-    with pytest.raises(ResourceBoundError) as exc:
-        spanning_trees(13)
-    assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
+    for listing in (spanning_trees, tree_words):
+        with pytest.raises(ResourceBoundError) as exc:
+            listing(13)
+        assert str(exc.value) == "ell=13 exceeds the listing ceiling 12"
 
 
 def test_matrix_count_agrees():
@@ -86,19 +107,18 @@ def test_matrix_count_agrees():
     assert str(exc.value) == "ell must be >= 1, got 0"
 
 
-def test_tree_to_word_examples():
-    star3 = star_tree(3)
-    assert format_word(tree_to_word(star3)) == "111111"
-    t = WheelTree(3, frozenset({0}), frozenset({0, 1}))
-    assert format_word(tree_to_word(t)) == "100001"
-    t2 = WheelTree(3, frozenset({0, 1}), frozenset({1}))
-    assert format_word(tree_to_word(t2)) == "111001"
+def test_tree_word_examples():
+    # the star, spoke 0 with rims 0 and 1, and spokes 0 and 1 with rim 1
+    assert format_word(star_tree(3)) == "111111"
+    trees = spanning_trees(3)
+    assert parse_word("100001") in trees
+    assert parse_word("111001") in trees
+    assert parse_word("101101") not in trees  # spokes 0, 1 and rim 0 close a cycle
 
 
 def test_taxonomy_examples():
-    assert taxonomy(star_tree(3)) == identity(3)
-    t = WheelTree(3, frozenset({0}), frozenset({0, 1}))
-    assert format_word(taxonomy(t)) == "010000"
+    assert normalize(star_tree(3)) == identity(3)
+    assert format_word(normalize(parse_word("100001"))) == "010000"
 
 
 def test_taxonomy_bijective():
@@ -117,7 +137,7 @@ def test_is_tree_word():
 
 def test_tree_words_are_even_zero_block_words():
     for ell in (1, 2, 3, 4):
-        raw = {tree_to_word(t) for t in spanning_trees(ell)}
+        raw = set(spanning_trees(ell))
         assert len(raw) == len(spanning_trees(ell))  # injective on trees
         expected = {w for w in itertools.product((0, 1), repeat=2 * ell) if is_tree_word(w)}
         assert raw == expected
@@ -160,7 +180,7 @@ def test_tree_add_matches_sum_of_taxonomies():
     for ell in (1, 2, 3):
         table = taxonomy_table(ell)
         for t1, t2 in itertools.product(spanning_trees(ell), repeat=2):
-            assert tree_add(t1, t2) == table[add(taxonomy(t1), taxonomy(t2))]
+            assert tree_add(t1, t2) == table[add(normalize(t1), normalize(t2))]
 
 
 def test_tree_add_size_mismatch():
