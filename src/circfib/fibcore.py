@@ -8,12 +8,14 @@ Conventions used throughout the package:
   ``classical_fib``.
 * A digit word is a tuple of nonnegative ints.  Index 0 is the leftmost
   character of the text form and the least significant position: "0010" has
-  value F2 = 3.  Inside the engine, a word whose digits are all 0..255 is
-  carried as the ``bytes`` object that checked it (``_digits``), with the
-  same indices, and any other word as a tuple of ints, checked in C by
-  ``array("Q")`` when every digit has ``__index__`` and lies in
-  0..2^64 - 1, and by one ``int()`` per digit otherwise; every public
-  function returns tuples.
+  value F2 = 3.  Inside the engine a word is carried as the object that
+  checked it (``_digits``), with the same indices: the ``bytes`` when its
+  digits are all 0..255, which ``phi_pair`` packs whole from 128 digits
+  on; else the ``array("Q")`` when every digit has ``__index__`` and lies
+  in 0..2^64 - 1, whose low bytes ``phi_pair`` packs and whose few wide
+  digits it adds one by one from 224 digits on; else the tuple of one
+  ``int()`` per digit, read by Horner's loop.  Every public function
+  returns tuples of ints.
 * A circular word is an ordinary digit word read cyclically (indices mod the
   length) with a fixed origin.  Equality is positional: "1000" and "0001"
   are distinct circular words even though they are rotations of each other.
@@ -24,10 +26,15 @@ All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
+import sys
 import threading
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, InvalidWordError, ResourceBoundError
+
+if TYPE_CHECKING:
+    from array import array
 
 Word = tuple[int, ...]
 
@@ -65,19 +72,22 @@ def as_word(digits) -> Word:
     return tuple(_digits(digits))
 
 
-def _digits(digits) -> bytes | Word:
+def _digits(digits) -> bytes | array | Word:
     """The checked digits of a word, in the form the engine reads.
 
     Digits 0..255 are checked and converted in C by ``bytes``, and the
     ``bytes`` object itself is returned.  Failing that, a word whose digits
     all have ``__index__`` and lie in 0..2^64 - 1 is checked and converted
     in C by ``array("Q")``, which reads each digit as ``operator.index``
-    does, and comes back as a tuple of ints; this agrees with ``int()`` for
-    every digit type whose ``__int__`` and ``__index__`` agree.  Any other
-    word (one with a negative digit, a digit of 2^64 or more, a str, a
-    float or a Fraction) takes the per-digit ``int`` path, which returns a
-    tuple of ints, with the same errors.  A number that ``int`` would
-    truncate, such as 1.5 or Fraction(3, 2), is refused.
+    does, and the array itself is returned, with no copy to a tuple; this
+    agrees with ``int()`` for every digit type whose ``__int__`` and
+    ``__index__`` agree.  Such an array always holds a digit past 255, and
+    ``bytes()`` of it would be its 8-byte buffer, so nothing calls
+    ``bytes()`` on it.  Any other word (one with a negative digit, a digit
+    of 2^64 or more, a str, a float or a Fraction) takes the per-digit
+    ``int`` path, which returns a tuple of ints, with the same errors.  A
+    number that ``int`` would truncate, such as 1.5 or Fraction(3, 2), is
+    refused.
     """
     w = tuple(digits)
     try:
@@ -87,7 +97,7 @@ def _digits(digits) -> bytes | Word:
         from array import array
 
         try:
-            return tuple(array("Q", w))
+            return array("Q", w)
         except (TypeError, OverflowError):
             pass
         digits, w = w, tuple(map(int, w))
@@ -108,14 +118,24 @@ def phi_pair(word) -> tuple[int, int]:
     """Exact pair (x, y) with sum of digit * phi^index == x + y*phi.
 
     A ``bytes`` word of at least ``_SLICED_FROM`` digits is read by
-    ``_sliced_pair``; any other word by Horner's rule from the top digit:
+    ``_sliced_pair``, and an ``array("Q")`` of at least ``_SPLIT_FROM``
+    digits by ``_split_pair`` unless it declines; any other word, and any
+    iterable of ints, by Horner's rule from the top digit:
     phi*(x + y*phi) = y + (x + y)*phi.
     """
-    if isinstance(word, bytes) and len(word) >= _SLICED_FROM:
-        return _sliced_pair(word)
+    if isinstance(word, bytes):
+        if len(word) >= _SLICED_FROM:
+            return _sliced_pair(word)
+    elif not isinstance(word, tuple):
+        # callers validate; tuples, bytes and arrays are read in place
+        if getattr(word, "typecode", None) != "Q":
+            word = tuple(word)
+        elif len(word) >= _SPLIT_FROM:
+            pair = _split_pair(word)
+            if pair:
+                return pair
     x = y = 0
-    # any iterable of ints; callers validate, and tuples and bytes are read in place
-    for d in reversed(word if isinstance(word, (tuple, bytes)) else tuple(word)):
+    for d in reversed(word):
         x, y = y + d, x + y
     return x, y
 
@@ -123,6 +143,61 @@ def phi_pair(word) -> tuple[int, int]:
 # The length from which ``_sliced_pair`` beats Horner's loop on bytes of any
 # digit width (the two cross near 96 digits on CPython 3.11).
 _SLICED_FROM = 128
+# The length from which ``_split_pair`` beats Horner's loop on an array with
+# one to three wide digits (the two cross near 176 to 192 digits on CPython
+# 3.11, so 224 clears both), and the share of wide digits past which the
+# loop is faster after all: one in 16, where the two cross at 512 digits
+# (near one in 32 at 256 digits and one in 8 at 2000; each wide digit costs
+# a find and two products, and each narrow one a share of a packing).
+_SPLIT_FROM = 224
+_SPLIT_DENSE = 16
+# The index of a digit's lowest byte in the 8 bytes of an array("Q") item
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+_NONZERO = bytes.maketrans(bytes(range(256)), b"\x00" + b"\x01" * 255)
+
+
+def _split_pair(arr: array) -> tuple[int, int] | None:
+    """``phi_pair`` of an array("Q") of digits, as the pair of its low bytes
+    plus d * phi^i for each digit d > 255 at index i, or None when more
+    than one digit in ``_SPLIT_DENSE`` is that wide or the Fibonacci table
+    does not reach the top one.
+
+    The wide digits are the items with a nonzero byte above the lowest, so
+    C-level byte operations on the array's buffer find them: zero the
+    lowest byte of each item, mark every nonzero byte, and ``find`` the
+    marks, skipping to the next item after each.  Their low bytes are
+    zeroed too, so the word that ``_sliced_pair`` packs keeps the narrow
+    digits' width.  Each wide digit adds d * (f(i - 1), f(i)), as phi^i =
+    f(i-1) + f(i)*phi with classical f and f(-1) = 1, read from the
+    Fibonacci table, where f(i) = ``_FIB_CACHE[i]``.  ``normalize`` has
+    grown the table through the length; where it is shorter than the top
+    wide index, as it may be on a direct call, the word is left to
+    Horner's loop too, so that encoding grows no table (about 0.35*k^2
+    bits through fib(k)).
+    """
+    n = len(arr)
+    raw = arr.tobytes()
+    marks = bytearray(raw)
+    marks[_LOW_BYTE::8] = bytes(n)
+    marks = marks.translate(_NONZERO)
+    wide, limit = [], n // _SPLIT_DENSE
+    j = marks.find(1)
+    while j >= 0:
+        if len(wide) == limit:
+            return None
+        wide.append(j >> 3)
+        j = marks.find(1, (j | 7) + 1)
+    if wide and len(_FIB_CACHE) <= wide[-1]:
+        return None
+    low = bytearray(raw[_LOW_BYTE::8])
+    x = y = 0
+    for i in wide:
+        d = arr[i]
+        low[i] = 0
+        x += d * _FIB_CACHE[i - 1] if i else d
+        y += d * _FIB_CACHE[i]
+    sx, sy = _sliced_pair(low)
+    return sx + x, sy + y
 
 
 def _sliced_pair(w: bytes) -> tuple[int, int]:
@@ -239,14 +314,19 @@ def is_admissible(word) -> bool:
     return _is_admissible(_digits(word))
 
 
-def _is_admissible(w: bytes | Word) -> bool:
-    """``is_admissible`` of digits that ``_digits`` has already checked."""
-    try:
-        b = bytes(w)  # the same object when w is already bytes
-    except ValueError:  # a digit above 255 is not binary
-        return False
+def _is_admissible(w: bytes | array | Word) -> bool:
+    """``is_admissible`` of digits that ``_digits`` has already checked:
+    the ``bytes`` word is read in place, a tuple is converted by ``bytes``,
+    and an array("Q") is never binary, as it holds a digit past 255."""
+    if not isinstance(w, bytes):
+        if not isinstance(w, tuple):
+            return False
+        try:
+            w = bytes(w)
+        except ValueError:  # a digit above 255 is not binary
+            return False
     # on 0/1 digits the wrap pair is the first and last digit
-    return not b.translate(None, b"\x00\x01") and not (b[0] & b[-1] or b"\x01\x01" in b)
+    return not w.translate(None, b"\x00\x01") and not (w[0] & w[-1] or b"\x01\x01" in w)
 
 
 def rotate(word) -> Word:

@@ -39,13 +39,15 @@ word, and, at even lengths up to 16, a memo of the words already decoded,
 keyed by residue (the proof that the key names the residue is next to
 ``_MEMO_CEILING``).  The public entry points validate once: ``normalize``
 and ``equivalent`` call ``fibcore._digits``, ``group.add`` sums two
-checked words, and each hands the digits, as the checking ``bytes`` when
-every digit is 0..255 and else as a tuple, to ``_normalize_word``, the one
-layer, which refuses an odd length, the zero word and a length past the
-Fibonacci ceiling, and decodes with the record it has read (``_decode``,
-which ``decode_pair`` wraps), so one normalize reads ``_length_table``
-once.  ``decode_pair`` refuses an odd length too.  The routes are
-independent;
+checked words, and each hands the digits to ``_normalize_word``, the one
+layer, as the object that checked them: the ``bytes`` when every digit is
+0..255, the ``array("Q")`` when a digit is wider but below 2^64, and else
+a tuple (``add``'s sum is a tuple unless both words are below 128, as it
+may pass 2^64).  That layer refuses an odd length, the zero word and a
+length past the Fibonacci ceiling, and decodes with the record it has read
+(``_decode``, which ``decode_pair`` wraps), so one normalize reads
+``_length_table`` once.  ``decode_pair`` refuses an odd length too.  The
+routes are independent;
 ``verify.uniqueness_scan`` (criterion 3) checks the normalizer against
 ``verify.move_classes`` over every {0,1,2}-word at lengths 4, 6 and 8, and
 the tests check ``verify.move_classes`` against ``orbit`` and against a
@@ -65,7 +67,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     InapplicableMoveError,
@@ -74,6 +76,9 @@ from .errors import (
     ZeroWordError,
 )
 from .fibcore import Word, _descending_fibs, _digits, _greedy, as_word, fib, phi_pair
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class _Move(NamedTuple):
@@ -403,11 +408,13 @@ def normalize(word) -> Word:
 
 
 # No cache (maxsize=0): an lru_cache only because perfbench's tracer reads
-# its cache_info() counters, under the second name _normalize_cached.
+# its cache_info() counters, under the second name _normalize_cached.  At
+# maxsize=0 it hashes nothing, so the unhashable array("Q") passes through.
 @lru_cache(maxsize=0)
-def _normalize_word(w: bytes | Word) -> Word:
-    """``normalize`` of digits that ``_digits`` has already checked, as
-    ``bytes`` or as a tuple of ints; either way the answer is a tuple."""
+def _normalize_word(w: bytes | array | Word) -> Word:
+    """``normalize`` of digits that ``_digits`` has already checked, as the
+    ``bytes``, the ``array("Q")`` or the tuple of ints that checked them,
+    each of which ``phi_pair`` reads in place; the answer is a tuple."""
     n = len(w)
     _refuse_odd(n)
     if not any(w):

@@ -91,11 +91,12 @@ def _phi_pair_by_fibonacci_pairs(word):
 
 @given(
     st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=2000),
-    st.sampled_from([tuple, list, iter]),
+    st.sampled_from([tuple, list, iter, fibcore._digits]),
 )
 @settings(deadline=None)
 @example([0], tuple)
 @example([10**9] * 2000, iter)
+@example([10**9] * 2000, fibcore._digits)  # dense wide digits: Horner's loop on the array
 def test_pair_codec_matches_fibonacci_oracles(digits, form):
     x, y = phi_pair(form(digits))
     assert (x, y) == _phi_pair_by_fibonacci_pairs(digits)
@@ -114,7 +115,34 @@ def _bytes_words(draw):
     return bytes(b % (top + 1) for b in draw(st.binary(min_size=length, max_size=length)))
 
 
-@given(_bytes_words())
+# the values that array("Q") holds past the bytes() range, up to its top
+_WIDE_DIGITS = (256, 2**32, 2**63, 2**64 - 1)
+
+
+@st.composite
+def _wide_words(draw):
+    # the array("Q") that _digits returns for a word with a digit past 255,
+    # on both sides of the length from which phi_pair takes the split route
+    # and up to 2,000 digits: one to three wide digits, at index 0, 1, n - 1
+    # or anywhere, or one at every step-th index, on both sides of the share
+    # past which the split route falls back to Horner's loop
+    split = fibcore._SPLIT_FROM
+    n = draw(st.one_of(st.integers(split - 2, split + 2), st.integers(1, 2000)))
+    top = draw(st.sampled_from([1, 3, 255]))
+    digits = [b % (top + 1) for b in draw(st.binary(min_size=n, max_size=n))]
+    wide = draw(st.lists(st.sampled_from(_WIDE_DIGITS), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1, 2, fibcore._SPLIT_DENSE - 1, fibcore._SPLIT_DENSE]))
+        positions = range(draw(st.integers(0, step - 1)), n, step)
+    else:
+        anywhere = st.sampled_from([0, min(1, n - 1), n - 1]) | st.integers(0, n - 1)
+        positions = draw(st.lists(anywhere, min_size=1, max_size=3))
+    for k, i in enumerate(positions):
+        digits[i] = wide[k % len(wide)]
+    return fibcore._digits(digits)
+
+
+@given(st.one_of(_bytes_words(), _wide_words()))
 @settings(deadline=None)
 @example(b"\x01" * (fibcore._SLICED_FROM - 1))
 @example(b"\x03" * fibcore._SLICED_FROM)
@@ -123,12 +151,39 @@ def _bytes_words(draw):
 @example(b"\x04\x03" * 99)
 @example(b"\x03\x02" * 2501)  # base-4 text past the 4,300-digit int() limit of Python 3.11+
 @example(bytes(i % 3 % 2 for i in range(10**5)))  # and base-2 text
+@example(fibcore._digits((2**64 - 1,) + (1,) * (fibcore._SPLIT_FROM - 2) + (256,)))
+@example(fibcore._digits((2**32, 256) + (0,) * (fibcore._SPLIT_FROM - 2)))  # a mark above the next's
+@example(fibcore._digits((0, 2**63) + (0,) * (fibcore._SPLIT_FROM - 2)))
+@example(fibcore._digits((0,) * (fibcore._SPLIT_FROM - 1) + (2**32,)))
+@example(fibcore._digits((2**64 - 1,) * 2000))
 def test_pair_codec_bytes_routes(word):
     # Horner's loop on the tuple is the reference; the test above checks it
     # against the Fibonacci oracles
     x, y = phi_pair(word)
     assert (x, y) == phi_pair(tuple(word))
     assert valuation(word) == x + 2 * y
+    if not isinstance(word, bytes) and len(word) >= fibcore._SPLIT_FROM:
+        # the split route itself, or its fallback past the dense share; it
+        # reads the Fibonacci table as far as normalize has grown it
+        fib(len(word))
+        dense = sum(d > 255 for d in word) > len(word) // fibcore._SPLIT_DENSE
+        assert fibcore._split_pair(word) == (None if dense else (x, y))
+
+
+def test_split_route_grows_no_table(monkeypatch):
+    # on a table that stops short of the top wide index, as it may before
+    # any normalize, the split route declines and Horner's loop answers
+    fib(300)
+    table = fibcore._FIB_CACHE[:300]
+    monkeypatch.setattr(fibcore, "_FIB_CACHE", table)
+    for top in (299, 300):
+        digits = [1, 0] * 152
+        digits[top] = 2**63
+        word = fibcore._digits(digits)
+        pair = phi_pair(word)
+        assert pair == phi_pair(tuple(digits))
+        assert fibcore._split_pair(word) == (pair if top < len(table) else None)
+    assert len(table) == 300
 
 
 @pytest.mark.parametrize(
@@ -367,6 +422,7 @@ def test_is_admissible_on_bytes_and_tuples_matches_max_form(digits):
     w = tuple(digits)
     expected = _is_admissible_by_max(w)
     assert fibcore._is_admissible(w) is expected
+    assert fibcore._is_admissible(fibcore._digits(w)) is expected  # bytes or array("Q")
     if max(w) <= 255:
         assert fibcore._is_admissible(bytes(w)) is expected
 

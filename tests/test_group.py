@@ -135,10 +135,15 @@ def test_add_matches_tuple_sum_oracle(case):
 
 
 def test_canonical_message_prints_the_tuple_form():
-    for word in ((1, 1, 0, 0), b"\x01\x01\x00\x00", "1100", (1, 1, 0, 256)):
-        message = r"^not an admissible circular word: \(1, 1, 0, (0|256)\)$"
-        with pytest.raises(InvalidWordError, match=message):
-            canonical(word)
+    # a word with a digit past 255 is checked as an array("Q"), whose buffer
+    # array("Q", [256, 0, 0, 0]).tobytes() holds only bytes 0 and 1: a stray
+    # bytes() of it would read as an admissible word of 32 digits
+    for word in ((1, 1, 0, 0), b"\x01\x01\x00\x00", "1100", (1, 1, 0, 256), (256, 0, 0, 0)):
+        assert not is_admissible(word)
+        message = re.escape(f"not an admissible circular word: {tuple(map(int, word))}")
+        for call in (canonical, neg, lambda u: scalar_mul(3, u), element_order):
+            with pytest.raises(InvalidWordError, match=f"^{message}$"):
+                call(word)
 
 
 @pytest.mark.parametrize(

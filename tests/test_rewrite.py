@@ -247,14 +247,27 @@ def _horner_pair(digits):
 
 @st.composite
 def _wide_word_pairs(draw):
-    """Two words of one even length 2..300, digits 0..2 with one to three
-    wide ones each: below 2^64 the array("Q") route, 2^64 the int() route."""
-    n = 2 * draw(st.integers(min_value=1, max_value=150))
+    """Two words of one even length 2..2,000, digits 0..2, on both sides of
+    the length from which phi_pair splits an array: each has one to three
+    wide digits, at index 0, 1, n - 1 or anywhere, or one at every step-th
+    index, on both sides of the share past which the split falls back to
+    Horner's loop.  Below 2^64 they take the array("Q") route, 2^64 the
+    int() route."""
+    half = fibcore._SPLIT_FROM // 2
+    n = 2 * draw(st.one_of(st.integers(half - 1, half + 1), st.integers(1, 1000)))
     words = []
     for _ in range(2):
-        digits = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
-        for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3)):
-            digits[i] = draw(st.sampled_from([256, 10**9, 2**64 - 1, 2**64]))
+        digits = [b % 3 for b in draw(st.binary(min_size=n, max_size=n))]
+        values = st.sampled_from([256, 10**9, 2**32, 2**63, 2**64 - 1, 2**64])
+        wide = draw(st.lists(values, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            step = draw(st.sampled_from([1, 3, fibcore._SPLIT_DENSE - 1, fibcore._SPLIT_DENSE]))
+            positions = range(draw(st.integers(0, step - 1)) % n, n, step)
+        else:
+            anywhere = st.sampled_from([0, 1, n - 1]) | st.integers(0, n - 1)
+            positions = draw(st.lists(anywhere, min_size=1, max_size=3))
+        for k, i in enumerate(positions):
+            digits[i] = wide[k % len(wide)]
         words.append(tuple(digits))
     return tuple(words)
 
@@ -264,6 +277,8 @@ def _wide_word_pairs(draw):
 @example(((2**64 - 1, 0), (2**64, 1)))
 @example(((10**9,) + (0,) * (fibcore._SLICED_FROM - 3), (256,) * (fibcore._SLICED_FROM - 2)))
 @example(((0,) * (fibcore._SLICED_FROM - 1) + (2**64 - 1,), (2**64,) * fibcore._SLICED_FROM))
+@example(((2**63,) + (1,) * (fibcore._SPLIT_FROM - 2) + (2**32,), (0, 256) * (fibcore._SPLIT_FROM // 2)))
+@example(((10**9,) * 2000, (0, 1, 2**64 - 1, 0) * 500))
 def test_wide_digit_words_match_horner_oracle(words):
     u, v = words
     n = len(u)
