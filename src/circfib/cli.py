@@ -14,6 +14,13 @@ Each command imports the modules it runs inside its own branch of
 each from source when no bytecode is cached, so `reduce` should not load
 the verification suite.
 
+The disk cache (`--cache-dir` or env `CIRCFIB_CACHE`) holds one listing,
+`wheel --map`, because only there does a warm hit repay the cold write:
+at ell = 12, in fresh processes, `wheel --map` takes 1.43-1.50 s without
+a cache and 0.34-0.36 s warm.  `group --list` computes its listing every
+time: 0.34 s without a cache, against 0.41-0.48 s cold and 0.22-0.35 s
+warm when it was cached.
+
 The records that `dispatch` returns hold values (words, ints, bools,
 strings, base-b words); `_text`, which `render` and the disk-cache store
 use, is the one place where a value becomes text.  It prints words with
@@ -150,24 +157,6 @@ def _tree_bits(w) -> Record:
     }
 
 
-def _cached_records(args, name: str, compute):
-    """The records of an ell-keyed listing, read from the disk cache when
-    one is set.  The listing ceiling is refused first, as ``dispatch``
-    refused the bound, whatever the cache holds."""
-    from . import cache
-
-    group.check_ceiling(args.ell, group.LISTING_CEILING, "listing")
-    directory = args.cache_dir or os.environ.get(cache.ENV_VAR)
-    if not directory:  # an empty CIRCFIB_CACHE means no cache
-        return compute()
-    key = f"{name}:ell={args.ell}"
-    records = cache.cache_load(directory, key)
-    if records is None:
-        records = [{k: _text(v) for k, v in r.items()} for r in compute()]
-        cache.cache_store(directory, key, records)
-    return records
-
-
 def dispatch(args) -> tuple[list[Record], int]:
     # the one check of --ell against the bound, before any other check on
     # --ell and before the disk cache; an explicit 0 is a bound too
@@ -203,11 +192,7 @@ def dispatch(args) -> tuple[list[Record], int]:
         if args.count:
             return [{"ell": args.ell, "order": group.decompose(args.ell).order}], 0
         if args.list:
-
-            def elements():
-                return [{"element": w} for w in group.enumerate_elements(args.ell)]
-
-            return _cached_records(args, "group-elements", elements), 0
+            return [{"element": w} for w in group.enumerate_elements(args.ell)], 0
         if args.structure:
             s = group.decompose(args.ell)
             e1, e2 = s.invariant_factors
@@ -268,16 +253,25 @@ def dispatch(args) -> tuple[list[Record], int]:
 
     if args.command == "wheel":
         if args.map:
+            from . import cache
 
-            def tree_map():
-                from . import wheels  # only on a cache miss: a warm hit reads the file
+            # the listing ceiling before the lookup, like the bound above: a warm
+            # file never answers past it
+            group.check_ceiling(args.ell, group.LISTING_CEILING, "listing")
+            directory = args.cache_dir or os.environ.get(cache.ENV_VAR)  # "" means none
+            key = f"wheel-map:ell={args.ell}"
+            records = cache.cache_load(directory, key) if directory else None
+            if records is None:
+                from . import wheels  # only on a miss: a warm hit reads the file
 
-                return [
+                records = [
                     {**_tree_bits(w), "raw_word": w, "normal_form": normalize(w)}
                     for w in wheels.tree_words(args.ell)
                 ]
-
-            return _cached_records(args, "wheel-map", tree_map), 0
+                if directory:
+                    records = [{k: _text(v) for k, v in r.items()} for r in records]
+                    cache.cache_store(directory, key, records)
+            return records, 0
         from . import wheels
 
         if args.count:

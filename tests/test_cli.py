@@ -580,11 +580,25 @@ def test_group_listing_digests(capsys, fmt, ell):
 
 
 def test_group_listing_digest_cold_and_warm_cache(tmp_path, capsys):
+    # group --list computes its listing every time: a cache dir changes
+    # nothing and is left empty
     argv = ["--cache-dir", str(tmp_path), "group", "--ell", "9", "--list"]
     for _ in ("cold", "warm"):
         code, out, err = run_cli(capsys, *argv)
         assert (code, _sha256(out), err) == (0, LISTING_SHA256["tsv"][8], "")
-    assert os.listdir(str(tmp_path)) == ["group-elements_ell_9.tsv"]
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_old_group_cache_file_is_ignored(tmp_path, capsys):
+    # a group-elements file left by an older version is neither read,
+    # reported nor removed
+    old = tmp_path / "group-elements_ell_3.tsv"
+    old.write_text("not a cache entry\n")
+    plain = run_cli(capsys, "group", "--ell", "3", "--list")
+    assert run_cli(capsys, "--cache-dir", str(tmp_path), "group", "--ell", "3", "--list") == plain
+    assert plain[0] == 0 and plain[2] == ""
+    assert os.listdir(str(tmp_path)) == [old.name]
+    assert old.read_text() == "not a cache entry\n"
 
 
 @pytest.mark.parametrize(
@@ -634,10 +648,10 @@ def test_listing_ceiling_comes_before_the_cache(tmp_path, capsys, monkeypatch, a
 
 
 def test_cli_uses_cache(tmp_path, capsys):
-    code, first, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "group", "--ell", "3", "--list")
+    code, first, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "wheel", "--ell", "3", "--map")
     assert code == 0
     assert os.listdir(str(tmp_path))
-    code, second, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "group", "--ell", "3", "--list")
+    code, second, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "wheel", "--ell", "3", "--map")
     assert first == second
 
 
@@ -654,37 +668,30 @@ def test_warm_cache_keeps_max_ell_bound(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [["group", "--ell", "3", "--list"], ["wheel", "--ell", "3", "--map"]])
 def test_unwritable_cache_warns_and_prints(tmp_path, capsys, argv):
-    # a cache directory that is a regular file cannot be written: one warning,
-    # and the records a run without a cache prints
+    # a cache directory that is a regular file cannot be written: the records
+    # a run without a cache prints, with one warning from wheel --map, the
+    # cached listing, and none from group --list, which never touches the cache
     blocker = tmp_path / "file"
     blocker.write_text("")
     plain = run_cli(capsys, *argv)
     code, out, err = run_cli(capsys, "--cache-dir", str(blocker), *argv)
     assert (code, out, "") == plain
-    assert len(err.splitlines()) == 1 and err.startswith("warning: cannot write cache entry ")
+    if argv[0] == "group":
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("warning: cannot write cache entry ")
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize(
-    "argv, name, text",
-    [
-        (
-            ["group", "--ell", "2", "--list"],
-            "group-elements_ell_2.tsv",
-            "circfib-cache 1 group-elements:ell=2\nelement\n0001\n0010\n0100\n0101\n1000\n",
-        ),
-        (
-            ["wheel", "--ell", "2", "--map"],
-            "wheel-map_ell_2.tsv",
-            "circfib-cache 1 wheel-map:ell=2\nspokes\trims\traw_word\tnormal_form\n"
-            "11\t00\t1111\t0101\n10\t10\t1001\t0100\n10\t01\t1100\t0010\n"
-            "01\t10\t0011\t1000\n01\t01\t0110\t0001\n",
-        ),
-    ],
-)
-def test_cache_file_bytes(tmp_path, capsys, argv, name, text):
+def test_cache_file_bytes(tmp_path, capsys):
     # the stored entry is pinned byte for byte, so CACHE_VERSION stays valid
-    run_cli(capsys, "--cache-dir", str(tmp_path), *argv)
+    name = "wheel-map_ell_2.tsv"
+    text = (
+        "circfib-cache 1 wheel-map:ell=2\nspokes\trims\traw_word\tnormal_form\n"
+        "11\t00\t1111\t0101\n10\t10\t1001\t0100\n10\t01\t1100\t0010\n"
+        "01\t10\t0011\t1000\n01\t01\t0110\t0001\n"
+    )
+    run_cli(capsys, "--cache-dir", str(tmp_path), "wheel", "--ell", "2", "--map")
     assert os.listdir(str(tmp_path)) == [name]
     assert (tmp_path / name).read_bytes() == text.encode()
 

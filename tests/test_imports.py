@@ -120,12 +120,16 @@ def test_one_shot_arithmetic_loads_only_the_core():
 
 
 def test_verify_loads_every_module_but_the_disk_cache():
-    _, after_verify, after_list = circfib_modules_after(
-        ["--max-ell", "2", "--max-q", "2", "verify"], ["group", "--ell", "1", "--list"]
+    # group --list computes its listing and never loads the cache; wheel
+    # --map, the one cached listing, loads it even with no cache dir
+    _, after_verify, after_list, after_map = circfib_modules_after(
+        ["--max-ell", "2", "--max-q", "2", "verify"],
+        ["group", "--ell", "1", "--list"],
+        ["wheel", "--ell", "1", "--map"],
     )
     assert len(EVERY) == 12
-    assert after_verify == [name for name in EVERY if name != "circfib.cache"]
-    assert after_list == EVERY
+    assert after_verify == after_list == [name for name in EVERY if name != "circfib.cache"]
+    assert after_map == EVERY
 
 
 MAP_RUN = """
