@@ -45,6 +45,9 @@ Record = dict[str, object]
 # refuse a larger --ell; verify takes --max-ell as the depth of its ell rows,
 # with its own default
 DEFAULT_ENUM_BOUND = 10
+# the largest ell of group --table, whose table holds order^2 sums: 2,025 at
+# ell = 4, 14,641 at 5
+TABLE_CEILING = 4
 
 
 def _text(value) -> str:
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="the group of admissible words of length 2*ell")
     p.add_argument("--ell", type=int, required=True)
     _modes(p, "--list", "--count", "--structure").add_argument(
-        "--table", action="store_true", help="full addition table (ell <= 4)"
+        "--table", action="store_true", help=f"full addition table (ell <= {TABLE_CEILING})"
     )
 
     p = sub.add_parser("orderq", help="the group of words of order dividing q")
@@ -197,8 +200,8 @@ def dispatch(args) -> tuple[list[Record], int]:
             s = group.decompose(args.ell)
             e1, e2 = s.invariant_factors
             return [{"ell": args.ell, "order": s.order, "e1": e1, "e2": e2, "d": s.d}], 0
-        if args.ell > 4:
-            raise ResourceBoundError("addition table supported only for ell <= 4")
+        if args.ell > TABLE_CEILING:
+            raise ResourceBoundError(f"addition table supported only for ell <= {TABLE_CEILING}")
         elements = group.enumerate_elements(args.ell)
         return [{"lhs": u, "rhs": v, "sum": group.add(u, v)} for u in elements for v in elements], 0
 

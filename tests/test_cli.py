@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ def test_reduce(capsys):
     code, out, _ = run_cli(capsys, "reduce", "020111")
     assert code == 0
     assert out == "word\tnormal_form\n020111\t010010\n"
+
+
+def test_python_m_circfib_runs_the_console_command(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["circfib", "reduce", "020111"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("circfib", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "word\tnormal_form\n020111\t010010\n"
 
 
 def test_reduce_jsonlines(capsys):
